@@ -327,7 +327,8 @@ def resurgence_certificate(
             budget.check_groebner(
                 3, max(f.total_degree() for f in power.generators)
             )
-            sym_oracle = grid_ideal_intersection(gt, budget)
+            # the first symbolic grid is g itself, whose oracle is already known
+            sym_oracle = base_oracle if t == 1 else grid_ideal_intersection(gt, budget)
             equal = ideal_equal(power, sym_oracle)
             report.add(label, "equal", "equal" if equal else "different", equal)
         except BudgetExceededError as exc:

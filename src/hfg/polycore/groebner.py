@@ -3,51 +3,143 @@
 The public entry points work on Polynomial (Fraction coefficients); the
 engine itself runs on content-free integer polynomials with positive leading
 coefficient, which keeps the inner loop in machine-int / bigint arithmetic.
-Pairs are selected by lowest lcm degree, ties broken by the monomial order
-key of the lcm and then by pair index, so runs are deterministic.  The
-returned basis is the reduced monic basis, sorted by leading monomial, and
-is therefore a canonical form of the ideal for the given order.
+Monomials are packed into ints once per call for the order in use (see
+_Packing), so multiplying monomials is an integer add, comparing them is an
+integer compare and testing divisibility is a mask test.  Pairs are selected
+by lowest lcm degree, ties broken by the monomial order of the lcm and then
+by pair index, so runs are deterministic.  The returned basis is the reduced
+monic basis, sorted by leading monomial, and is therefore a canonical form of
+the ideal for the given order.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Sequence
+from functools import lru_cache
+from math import gcd, lcm as int_lcm
+from operator import lshift
+from typing import Callable, Sequence, TypeVar
 
 from ..errors import BlockMismatchError
 from .orders import GREVLEX, Exponents, MonomialOrder
-from .poly import (
-    Polynomial,
-    VariableBlock,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .poly import Polynomial, VariableBlock
 
-IntPoly = dict[Exponents, int]
+# An integer polynomial maps the packed order key K of each monomial to its
+# coefficient.
+IntPoly = dict[int, int]
+T = TypeVar("T")
+
+
+class _Overflow(Exception):
+    """A monomial about to be formed does not fit the current field width."""
+
+
+class _Packing:
+    """Monomials of one order and arity packed into ints, `width` bits a field.
+
+    Field p, counted from the low end, belongs to variable perm[p] in both
+    ints.  The top bit of every field is a guard bit, so every monomial the
+    engine forms must have total degree below cap = 2**(width - 1); that
+    bounds every field of both ints.
+
+    E holds the exponents.  b divides a exactly when (Ea - Eb) & guard == 0,
+    since a field with a_i < b_i borrows into its own guard bit.
+
+    K, the order key, holds in field p the sum of the exponents from the
+    start of p's segment up to p.  For grevlex there is one segment, so the
+    top field is the degree; elimination puts the tail block in an upper
+    segment; lex gives every variable its own segment, with x0 on top.  Each
+    field is linear in the exponents, so K(a*b) = K(a) + K(b), and comparing
+    two K as ints compares the monomials in the order.  K determines E.
+    """
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        if order.kind == "lex":
+            perm = tuple(reversed(range(nvars)))
+            starts = set(range(nvars))
+        else:
+            perm = tuple(range(nvars))
+            starts = {0, order.front} if 0 < order.front < nvars else {0}
+        field = (1 << width) - 1
+        self.graded = len(starts) == 1
+        self.width = width
+        self.cap = 1 << (width - 1)
+        self.guard = sum(1 << (p * width + width - 1) for p in range(nvars))
+        self._field = field
+        shifts = [0] * nvars
+        for p, v in enumerate(perm):
+            shifts[v] = p * width
+        self._shifts = tuple(shifts)
+        self._top = (nvars - 1) * width
+        self._ones = sum(1 << (p * width) for p in range(nvars))
+        self._inner = sum(field << (p * width) for p in range(nvars) if p not in starts)
+        bounds = sorted(starts) + [nvars]
+        self._segments = [
+            (
+                sum(field << (p * width) for p in range(a, b)),
+                sum(1 << (k * width) for k in range(b - a)),
+            )
+            for a, b in zip(bounds, bounds[1:])
+        ]
+
+    def exps(self, k: int) -> int:
+        """E of the monomial with key K."""
+        return k - ((k << self.width) & self._inner)
+
+    def key(self, e: int) -> int:
+        """K of the monomial with exponents E (prefix sums per segment)."""
+        k = 0
+        for mask, ones in self._segments:
+            k |= ((e & mask) * ones) & mask
+        return k
+
+    def degree(self, e: int) -> int:
+        """Total degree; exact while it is below 2**width."""
+        return ((e * self._ones) >> self._top) & self._field
+
+    def lcm(self, a: int, b: int) -> int:
+        """Per-field max of two E values."""
+        w1 = self.width - 1
+        ge = ((a | self.guard) - b) & self.guard
+        low = ge - (ge >> w1)
+        return b ^ ((a ^ b) & low)
+
+    def pack(self, exps: Exponents) -> int:
+        return self.key(sum(map(lshift, exps, self._shifts)))
+
+    def unpack(self, k: int) -> Exponents:
+        e = self.exps(k)
+        field = self._field
+        return tuple((e >> s) & field for s in self._shifts)
+
+
+@lru_cache(maxsize=32)
+def _packing(order: MonomialOrder, nvars: int, width: int) -> _Packing:
+    """Packings are immutable, and calls on the same block repeat them."""
+    return _Packing(order, nvars, width)
 
 
 class _Row:
-    __slots__ = ("terms", "lm", "lc", "key")
+    """A reducer: integer polynomial with its leading data unpacked once.
 
-    def __init__(self, terms: IntPoly, keyf: Callable[[Exponents], tuple]):
+    `reach` bounds how far a term's degree exceeds the leading monomial's.
+    In a graded order (one segment) it is never positive, and products of a
+    reducer need no overflow check.
+    """
+
+    __slots__ = ("terms", "lm", "lc", "e", "tail", "reach")
+
+    def __init__(self, terms: IntPoly, pk: _Packing):
         self.terms = terms
-        self.lm = max(terms, key=keyf)
+        self.lm = max(terms)
         self.lc = terms[self.lm]
-        self.key = keyf(self.lm)
-
-
-def _memoized(keyf: Callable[[Exponents], tuple]) -> Callable[[Exponents], tuple]:
-    cache: dict[Exponents, tuple] = {}
-
-    def key(m: Exponents) -> tuple:
-        v = cache.get(m)
-        if v is None:
-            v = cache[m] = keyf(m)
-        return v
-
-    return key
+        self.e = pk.exps(self.lm)
+        self.tail = [(k, c) for k, c in terms.items() if k != self.lm]
+        self.reach = 0
+        if not pk.graded:
+            top = max((pk.degree(pk.exps(k)) for k, _ in self.tail), default=0)
+            self.reach = top - pk.degree(self.e)
 
 
 def _content(p: IntPoly) -> int:
@@ -59,159 +151,184 @@ def _content(p: IntPoly) -> int:
     return g
 
 
-def _primitive(p: IntPoly, keyf) -> IntPoly:
+def _primitive(p: IntPoly) -> IntPoly:
     """Divide out the content and make the leading coefficient positive."""
     if not p:
         return p
     g = _content(p)
-    if p[max(p, key=keyf)] < 0:
+    if p[max(p)] < 0:
         g = -g
     if g != 1:
-        p = {e: c // g for e, c in p.items()}
+        p = {k: c // g for k, c in p.items()}
     return p
 
 
-def _to_int_poly(p: Polynomial, keyf) -> IntPoly:
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = {e: int(c * den) for e, c in p.terms.items()}
-    return _primitive(ints, keyf)
+def _to_int_poly(p: Polynomial, pk: _Packing) -> tuple[IntPoly, int]:
+    """Integer numerators and common denominator of p."""
+    den = int_lcm(*(c.denominator for c in p.terms.values()))
+    ints = {pk.pack(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    return ints, den
 
 
-def _reduce_int(f: IntPoly, rows: Sequence[_Row], keyf) -> IntPoly:
-    """Full normal form, fraction-free; remainder is primitive."""
+def _reduce(f: IntPoly, rows: Sequence[_Row], pk: _Packing) -> tuple[IntPoly, int]:
+    """Full normal form of f, fraction-free, dividing by the first reducer.
+
+    Returns (rem, scale) with rem = scale * (the rational remainder of f).
+    """
+    guard, cap = pk.guard, pk.cap
     rem: IntPoly = {}
     work = dict(f)
+    scale = 1
     while work:
-        m = max(work, key=keyf)
+        m = max(work)
         c = work.pop(m)
-        reducer = None
+        em = pk.exps(m)
         for row in rows:
-            if monomial_divides(row.lm, m):
-                reducer = row
+            if not (em - row.e) & guard:
                 break
-        if reducer is None:
+        else:
             rem[m] = c
             continue
-        d = gcd(c, reducer.lc)
-        a = reducer.lc // d
+        if row.reach > 0 and pk.degree(em) + row.reach >= cap:
+            raise _Overflow
+        d = gcd(c, row.lc)
+        a = row.lc // d
         b = c // d
         if a != 1:
+            scale *= a
             for k in work:
                 work[k] *= a
             for k in rem:
                 rem[k] *= a
-        q = tuple(x - y for x, y in zip(m, reducer.lm))
-        glm = reducer.lm
-        for gm, gc in reducer.terms.items():
-            if gm == glm:
-                continue
-            mm = monomial_mul(gm, q)
-            nv = work.get(mm, 0) - b * gc
+        q = m - row.lm
+        for k, gc in row.tail:
+            k += q
+            nv = work.get(k, 0) - b * gc
             if nv:
-                work[mm] = nv
+                work[k] = nv
             else:
-                work.pop(mm, None)
-    return _primitive(rem, keyf)
+                del work[k]
+    return rem, scale
 
 
-def _spoly(r1: _Row, r2: _Row) -> IntPoly:
-    L = monomial_lcm(r1.lm, r2.lm)
-    u = tuple(x - y for x, y in zip(L, r1.lm))
-    v = tuple(x - y for x, y in zip(L, r2.lm))
+# a pair is (degree of lcm, K of lcm, i, j, E of lcm); as i, j differ between
+# pairs, tuple order is the selection order
+_Pair = tuple[int, int, int, int, int]
+
+
+def _spoly(r1: _Row, r2: _Row, pair: _Pair, pk: _Packing) -> IntPoly:
+    deg, kl = pair[0], pair[1]
+    if deg + max(r1.reach, r2.reach) >= pk.cap:
+        raise _Overflow
+    u = kl - r1.lm
+    v = kl - r2.lm
     d = gcd(r1.lc, r2.lc)
     a = r2.lc // d
     b = r1.lc // d
-    res: IntPoly = {}
-    for m, c in r1.terms.items():
-        res[monomial_mul(m, u)] = c * a
-    for m, c in r2.terms.items():
-        k = monomial_mul(m, v)
+    res: IntPoly = {k + u: c * a for k, c in r1.tail}
+    for k, c in r2.tail:
+        k += v
         nv = res.get(k, 0) - c * b
         if nv:
             res[k] = nv
         else:
-            res.pop(k, None)
+            del res[k]
     return res
 
 
-# a pair is (i, j, lcm, degree, key-of-lcm)
-_Pair = tuple[int, int, Exponents, int, tuple]
-
-
-def _update(
-    G: list[_Row], P: list[_Pair], row: _Row, keyf
-) -> list[_Pair]:
+def _update(G: list[_Row], P: list[_Pair], row: _Row, pk: _Packing) -> list[_Pair]:
     """Gebauer-Moeller update of the pair set when appending `row` to G."""
+    guard, lcm = pk.guard, pk.lcm
     t = len(G)
-    lmf = row.lm
+    ef = row.e
     kept: list[_Pair] = []
     for pair in P:
-        i, j, L, _, _ = pair
+        _, _, i, j, el = pair
         # chain criterion: the new element makes this pair redundant unless
         # one of its own pairs has the same lcm
         if (
-            monomial_divides(lmf, L)
-            and monomial_lcm(G[i].lm, lmf) != L
-            and monomial_lcm(G[j].lm, lmf) != L
+            not (el - ef) & guard
+            and lcm(G[i].e, ef) != el
+            and lcm(G[j].e, ef) != el
         ):
             continue
         kept.append(pair)
-    candidates = [(i, monomial_lcm(G[i].lm, lmf)) for i in range(t)]
-    minimal: list[tuple[int, Exponents]] = []
-    for i, L in candidates:
-        dominated = False
-        for _, L2 in candidates:
-            if L2 != L and monomial_divides(L2, L):
-                dominated = True
+    groups: dict[int, list[int]] = {}
+    for i in range(t):
+        groups.setdefault(lcm(G[i].e, ef), []).append(i)
+    # keep the lcms no other lcm properly divides.  E as an int is a lex
+    # order, so a proper divisor comes first, and by transitivity testing
+    # against the minimal ones found so far suffices.
+    minimal: list[int] = []
+    for el in sorted(groups):
+        for m in minimal:
+            if not (el - m) & guard:
                 break
-        if not dominated:
-            minimal.append((i, L))
-    groups: dict[Exponents, list[int]] = {}
-    for i, L in minimal:
-        groups.setdefault(L, []).append(i)
-    for L in sorted(groups):
-        idxs = groups[L]
+        else:
+            minimal.append(el)
+    for el in minimal:
+        idxs = groups[el]
         # product criterion: coprime leading monomials reduce to zero
-        if any(monomial_mul(G[i].lm, lmf) == L for i in idxs):
+        if any(G[i].e + ef == el for i in idxs):
             continue
-        kept.append((min(idxs), t, L, sum(L), keyf(L)))
+        deg = pk.degree(el)
+        if deg >= pk.cap:
+            raise _Overflow
+        kept.append((deg, pk.key(el), min(idxs), t, el))
     G.append(row)
+    heapq.heapify(kept)
     return kept
 
 
-def _interreduce(G: list[_Row], keyf) -> list[_Row]:
-    rows = sorted(G, key=lambda r: r.key)
+def _interreduce(G: list[_Row], pk: _Packing) -> list[_Row]:
+    guard = pk.guard
+    rows = sorted(G, key=lambda r: r.lm)
     minimal: list[_Row] = []
     for r in rows:
-        if not any(monomial_divides(m.lm, r.lm) for m in minimal):
+        if all((r.e - m.e) & guard for m in minimal):
             minimal.append(r)
     final: list[_Row] = []
     for idx, r in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        red = _reduce_int(dict(r.terms), others, keyf)
-        final.append(_Row(red, keyf))
-    final.sort(key=lambda r: r.key)
+        red, _ = _reduce(r.terms, others, pk)
+        final.append(_Row(_primitive(red), pk))
+    final.sort(key=lambda r: r.lm)
     return final
 
 
-def _buchberger(polys: list[IntPoly], keyf) -> list[_Row]:
+def _buchberger(polys: list[IntPoly], pk: _Packing) -> list[_Row]:
     G: list[_Row] = []
     P: list[_Pair] = []
     for f in polys:
-        r = _reduce_int(f, G, keyf)
+        r = _primitive(_reduce(f, G, pk)[0])
         if r:
-            P = _update(G, P, _Row(r, keyf), keyf)
+            P = _update(G, P, _Row(r, pk), pk)
     while P:
-        best = min(P, key=lambda p: (p[3], p[4], p[0], p[1]))
-        P.remove(best)
-        i, j, _, _, _ = best
-        s = _spoly(G[i], G[j])
-        r = _reduce_int(s, G, keyf)
+        pair = heapq.heappop(P)
+        s = _spoly(G[pair[2]], G[pair[3]], pair, pk)
+        r = _primitive(_reduce(s, G, pk)[0])
         if r:
-            P = _update(G, P, _Row(r, keyf), keyf)
-    return _interreduce(G, keyf)
+            P = _update(G, P, _Row(r, pk), pk)
+    return _interreduce(G, pk)
+
+
+def _packed(
+    run: Callable[[_Packing], T], polys: Sequence[Polynomial], order: MonomialOrder
+) -> T:
+    """Run `run` on a packing wide enough for `polys`, widening on overflow.
+
+    The first width leaves room for lcm degrees well past the input degree;
+    a monomial that would still not fit aborts the run, which restarts from
+    the input at twice the width, so no field ever wraps.
+    """
+    nvars = polys[0].block.arity
+    top = max(sum(e) for p in polys for e in p.terms)
+    width = max(8, (4 * top).bit_length() + 1)
+    while True:
+        try:
+            return run(_packing(order, nvars, width))
+        except _Overflow:
+            width *= 2
 
 
 def _common_block(polys: Sequence[Polynomial]) -> VariableBlock:
@@ -230,54 +347,38 @@ def groebner_basis(
     if not nonzero:
         return ()
     block = _common_block(nonzero)
-    keyf = _memoized(order.key())
-    rows = _buchberger([_to_int_poly(g, keyf) for g in nonzero], keyf)
-    out = []
-    for row in rows:
-        lc = row.lc
-        out.append(
-            Polynomial(block, {e: Fraction(c, lc) for e, c in row.terms.items()})
+
+    def run(pk: _Packing) -> tuple[Polynomial, ...]:
+        rows = _buchberger([_primitive(_to_int_poly(g, pk)[0]) for g in nonzero], pk)
+        return tuple(
+            Polynomial(
+                block, {pk.unpack(k): Fraction(c, row.lc) for k, c in row.terms.items()}
+            )
+            for row in rows
         )
-    return tuple(out)
+
+    return _packed(run, nonzero, order)
 
 
 def normal_form(
     f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX
 ) -> Polynomial:
-    """Remainder of f under division by `basis` (unique if basis is a GB)."""
+    """Remainder of f under division by `basis` (unique if basis is a GB).
+
+    Each step divides by the first element of `basis`, in the given order,
+    whose leading monomial divides the leading monomial of what is left.
+    """
     if f.is_zero:
         return f
     nonzero = [g for g in basis if not g.is_zero]
     if nonzero:
         _common_block([f] + nonzero)
-    keyf = _memoized(order.key())
-    prepared = []
-    for g in nonzero:
-        lm = max(g.terms, key=keyf)
-        prepared.append((g.terms, lm, g.terms[lm]))
-    work = dict(f.terms)
-    rem: dict[Exponents, Fraction] = {}
-    while work:
-        m = max(work, key=keyf)
-        c = work.pop(m)
-        hit = None
-        for terms, lm, lc in prepared:
-            if monomial_divides(lm, m):
-                hit = (terms, lm, lc)
-                break
-        if hit is None:
-            rem[m] = c
-            continue
-        terms, lm, lc = hit
-        factor = c / lc
-        q = tuple(x - y for x, y in zip(m, lm))
-        for gm, gc in terms.items():
-            if gm == lm:
-                continue
-            mm = monomial_mul(gm, q)
-            nv = work.get(mm, Fraction(0)) - factor * gc
-            if nv:
-                work[mm] = nv
-            else:
-                work.pop(mm, None)
-    return Polynomial(f.block, rem)
+
+    def run(pk: _Packing) -> Polynomial:
+        num, den = _to_int_poly(f, pk)
+        rows = [_Row(_primitive(_to_int_poly(g, pk)[0]), pk) for g in nonzero]
+        rem, scale = _reduce(num, rows, pk)
+        den *= scale
+        return Polynomial(f.block, {pk.unpack(k): Fraction(c, den) for k, c in rem.items()})
+
+    return _packed(run, [f] + nonzero, order)

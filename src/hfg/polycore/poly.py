@@ -55,28 +55,6 @@ def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def monomial_div(a: Exponents, b: Exponents) -> Exponents | None:
-    """Exponents of a/b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def monomial_divides(b: Exponents, a: Exponents) -> bool:
-    return all(x >= y for x, y in zip(a, b))
-
-
-def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def monomial_degree(a: Exponents) -> int:
-    return sum(a)
-
-
 class Polynomial:
     __slots__ = ("block", "terms")
 

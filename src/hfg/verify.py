@@ -13,7 +13,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional; plain ints give the same ranks
     _mpz = int
 
 from .budget import Budget, DEFAULT_BUDGET

@@ -91,6 +91,7 @@ from .verify import (
     check_point_power_product,
     exact_rank,
     hilbert_function_oracle,
+    hilbert_series_oracle,
     vanishing_order,
 )
 

@@ -51,7 +51,7 @@ from .polycore import (
 from .projective import Point
 from .verify import (
     check_point_power_product,
-    hilbert_function_oracle,
+    hilbert_series_oracle,
     vanishing_order,
 )
 
@@ -373,23 +373,24 @@ def _pattern_ideal_job(grid_json: dict, budget: Budget) -> dict:
     }
 
 
-def _hilbert_job(grid_json: dict, degree: int, budget: Budget) -> dict:
+def _hilbert_job(grid_json: dict, budget: Budget) -> dict:
     g = grid_from_json(grid_json)
-    predicted = hilbert_from_resolution(resolution(g), degree)
-    computed = hilbert_function_oracle(g, degree, budget)
-    return {
-        "instances": [
+    shifts = resolution(g)
+    computed = hilbert_series_oracle(g, max(shifts.syzygy_twists), budget)
+    instances = []
+    for degree, value in enumerate(computed):
+        predicted = hilbert_from_resolution(shifts, degree)
+        instances.append(
             {
                 "label": "resolution Hilbert function matches the rank oracle"
                 " at degree %d" % degree,
                 "expected": str(predicted),
-                "computed": str(computed),
-                "passed": predicted == computed,
+                "computed": str(value),
+                "passed": predicted == value,
                 "flag": None,
             }
-        ],
-        "hilbert": [degree, computed],
-    }
+        )
+    return {"instances": instances, "hilbert": computed}
 
 
 def _resurgence_job(grid_json: dict, t_max: int, budget: Budget) -> dict:
@@ -433,26 +434,23 @@ def verify_command(
         g = _load_grid(m, n, grid_path)
         budget.check_grid(g.total_multiplicity)
         grid_json = grid_to_json(g)
-        top = max(resolution(g).syzygy_twists)
-        job_list = [(_structure_job, (grid_json, budget))]
-        job_list.append((_pattern_ideal_job, (grid_json, budget)))
-        job_list.extend(
-            (_hilbert_job, (grid_json, d, budget)) for d in range(top + 1)
-        )
-        job_list.append((_resurgence_job, (grid_json, t_max, budget)))
+        job_list = [
+            (_structure_job, (grid_json, budget)),
+            (_pattern_ideal_job, (grid_json, budget)),
+            (_hilbert_job, (grid_json, budget)),
+            (_resurgence_job, (grid_json, t_max, budget)),
+        ]
         results = _run_verify_jobs(job_list, jobs)
     except HfgError as exc:
         _fail(exc)
 
     instances: list[dict] = []
-    hilbert: dict[int, int] = {}
+    hilbert: list[int] = []
     for result in results:
         instances.extend(result["instances"])
-        if "hilbert" in result:
-            degree, value = result["hilbert"]
-            hilbert[degree] = value
-    first_positive = min(
-        (d for d, value in sorted(hilbert.items()) if value > 0), default=None
+        hilbert = result.get("hilbert", hilbert)
+    first_positive = next(
+        (d for d, value in enumerate(hilbert) if value > 0), None
     )
     alpha = alpha_degree(g)
     instances.append(

@@ -323,10 +323,9 @@ def resurgence_certificate(
             budget.check_grid(gt.total_multiplicity)
             if base_oracle is None:
                 base_oracle = grid_ideal_intersection(g, budget)
+            # the top degree of the t-th power, known before building it
+            budget.check_groebner(3, t * base_oracle.max_generator_degree())
             power = ideal_power(base_oracle, t)
-            budget.check_groebner(
-                3, max(f.total_degree() for f in power.generators)
-            )
             # the first symbolic grid is g itself, whose oracle is already known
             sym_oracle = base_oracle if t == 1 else grid_ideal_intersection(gt, budget)
             equal = ideal_equal(power, sym_oracle)

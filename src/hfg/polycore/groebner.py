@@ -360,25 +360,39 @@ def groebner_basis(
     return _packed(run, nonzero, order)
 
 
-def normal_form(
-    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX
-) -> Polynomial:
-    """Remainder of f under division by `basis` (unique if basis is a GB).
+def normal_forms(
+    fs: Sequence[Polynomial],
+    basis: Sequence[Polynomial],
+    order: MonomialOrder = GREVLEX,
+) -> list[Polynomial]:
+    """Remainders of every f under division by `basis`, packing it once.
 
     Each step divides by the first element of `basis`, in the given order,
     whose leading monomial divides the leading monomial of what is left.
+    The remainders are unique if `basis` is a Groebner basis.
     """
-    if f.is_zero:
-        return f
+    todo = [f for f in fs if not f.is_zero]
+    if not todo:
+        return list(fs)
     nonzero = [g for g in basis if not g.is_zero]
-    if nonzero:
-        _common_block([f] + nonzero)
+    _common_block(todo + nonzero)
 
-    def run(pk: _Packing) -> Polynomial:
-        num, den = _to_int_poly(f, pk)
+    def run(pk: _Packing) -> list[Polynomial]:
         rows = [_Row(_primitive(_to_int_poly(g, pk)[0]), pk) for g in nonzero]
-        rem, scale = _reduce(num, rows, pk)
-        den *= scale
-        return Polynomial(f.block, {pk.unpack(k): Fraction(c, den) for k, c in rem.items()})
 
-    return _packed(run, [f] + nonzero, order)
+        def remainder(f: Polynomial) -> Polynomial:
+            num, den = _to_int_poly(f, pk)
+            rem, scale = _reduce(num, rows, pk)
+            den *= scale
+            return Polynomial(f.block, {pk.unpack(k): Fraction(c, den) for k, c in rem.items()})
+
+        return [f if f.is_zero else remainder(f) for f in fs]
+
+    return _packed(run, todo + nonzero, order)
+
+
+def normal_form(
+    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX
+) -> Polynomial:
+    """Remainder of f under division by `basis`; see `normal_forms`."""
+    return normal_forms([f], basis, order)[0]

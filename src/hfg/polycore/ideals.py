@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import BlockMismatchError, DomainError, ParseError
-from .groebner import groebner_basis, normal_form
+from .groebner import groebner_basis, normal_form, normal_forms
 from .orders import GREVLEX, MonomialOrder, elimination_order
 from .poly import PLANE, Polynomial, VariableBlock, monomials_of_degree
 
@@ -72,7 +72,8 @@ class IdealPresentation:
     def contains_ideal(self, other: "IdealPresentation") -> bool:
         if self.block != other.block:
             raise BlockMismatchError("ideals live on different blocks")
-        return all(self.contains(g) for g in other.generators)
+        remainders = normal_forms(other.generators, self.groebner_basis(), GREVLEX)
+        return all(rem.is_zero for rem in remainders)
 
     def __repr__(self) -> str:
         gens = "; ".join(g.to_string() for g in self.generators)

@@ -8,6 +8,7 @@ several coordinate strata and bundle the grid-level cross-checks.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -81,16 +82,22 @@ def vanishing_order(f: Polynomial, p) -> int | float:
     return min(sum(e) for e in current)
 
 
-def exact_rank(matrix, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+def pivot_columns(matrix) -> list[int]:
+    """Pivot columns, in increasing order, of an integer matrix under
+    fraction-free (Bareiss) elimination.
+
+    The number of pivots among the first k columns is the rank of those k
+    columns, so one elimination gives the rank of every leading block.
+    """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    budget.check_matrix(rows, cols)
     a = [[_mpz(x) for x in row] for row in matrix]
     prev = _mpz(1)
-    rank = 0
+    pivots: list[int] = []
     row_at = 0
     for col in range(cols):
+        if row_at == rows:
+            break
         pivot = None
         for r in range(row_at, rows):
             if a[r][col] and (
@@ -101,68 +108,96 @@ def exact_rank(matrix, budget: Budget = DEFAULT_BUDGET) -> int:
             continue
         if pivot != row_at:
             a[pivot], a[row_at] = a[row_at], a[pivot]
-        p = a[row_at][col]
         lead = a[row_at]
+        p = lead[col]
+        tail = lead[col + 1 :]
         for r in range(row_at + 1, rows):
             cur = a[r]
             factor = cur[col]
-            for c in range(col + 1, cols):
-                cur[c] = (p * cur[c] - factor * lead[c]) // prev
-            cur[col] = _mpz(0)
+            if factor:
+                cur[col + 1 :] = [
+                    (p * x - factor * y) // prev
+                    for x, y in zip(cur[col + 1 :], tail)
+                ]
+            else:
+                cur[col + 1 :] = [p * x // prev for x in cur[col + 1 :]]
         prev = p
-        rank += 1
+        pivots.append(col)
         row_at += 1
-        if row_at == rows:
-            break
-    return rank
+    return pivots
 
 
-def _condition_rows(point: Point, multiplicity: int, degree: int):
-    """Integer rows expressing vanishing to the given order at the point.
+def exact_rank(matrix, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    rows = len(matrix)
+    budget.check_matrix(rows, len(matrix[0]) if rows else 0)
+    return len(pivot_columns(matrix))
 
-    One row per partial derivative of total order below the multiplicity, in
-    the affine chart of the largest-index nonzero coordinate; columns follow
-    ``monomials_of_degree``.  Each row is scaled to integers.
+
+def _primitive_coords(point: Point) -> list[int]:
+    den = math.lcm(*(c.denominator for c in point))
+    ints = [int(c * den) for c in point]
+    content = math.gcd(*ints)
+    return [x // content for x in ints]
+
+
+def hilbert_series_oracle(
+    g: FatGrid, top: int, budget: Budget = DEFAULT_BUDGET
+) -> list[int]:
+    """dim of the degree-d piece of the grid ideal for d = 0..top, by one
+    exact elimination.
+
+    Grid points have every coordinate nonzero, so a form of degree d is a
+    polynomial of degree <= d in the chart x0 = 1, with columns u^a v^b
+    ordered by a + b; the degree-d condition matrix is then the first
+    C(d+2, 2) columns of the degree-top one.  A point with primitive integer
+    coordinates (p0, p1, p2) contributes, for each derivative order
+    (o1, o2) below its multiplicity, the row of
+    (a)_o1 (b)_o2 p1^(a-o1) p2^(b-o2) (L/p0)^(a+b), where L is the lcm of
+    the |p0|.  That is the affine condition scaled by L^(a+b) per column
+    and by p0^(o1+o2) per row, which keeps entries integral and leaves the
+    rank of every leading block of columns unchanged.
     """
-    coords = [Fraction(c) for c in point]
-    pivot = max(i for i, c in enumerate(coords) if c)
-    scale = coords[pivot]
-    keep = [i for i in range(3) if i != pivot]
-    a = [coords[i] / scale for i in keep]
-    mons = list(monomials_of_degree(PLANE, degree))
-    rows = []
-    for order1 in range(multiplicity):
-        for order2 in range(multiplicity - order1):
-            row = []
-            for exps in mons:
-                e1, e2 = exps[keep[0]], exps[keep[1]]
-                if e1 < order1 or e2 < order2:
-                    row.append(Fraction(0))
-                    continue
-                value = Fraction(
-                    math.perm(e1, order1) * math.perm(e2, order2)
-                )
-                value *= a[0] ** (e1 - order1) * a[1] ** (e2 - order2)
-                row.append(value)
-            denominator = math.lcm(*(r.denominator for r in row))
-            rows.append([int(r * denominator) for r in row])
-    return rows
+    if top < 0:
+        raise DomainError("degree must be non-negative")
+    r, s = g.shape
+    cells = [(i, j) for i in range(r) for j in range(s)]
+    rows = sum(g.mult[i][j] * (g.mult[i][j] + 1) // 2 for i, j in cells)
+    for d in range(top + 1):
+        budget.check_matrix(rows, math.comb(d + 2, 2))
+
+    points = [_primitive_coords(g.grid_points[i][j]) for i, j in cells]
+    lcm = math.lcm(*(abs(p[0]) for p in points))
+    columns = [(a, e - a) for e in range(top + 1) for a in range(e, -1, -1)]
+
+    def falling(base: int, order: int) -> list[int]:
+        # the order-th derivative of x^a at x = base, for a = 0..top
+        return [
+            math.perm(a, order) * base ** (a - order) if a >= order else 0
+            for a in range(top + 1)
+        ]
+
+    matrix = []
+    for (i, j), (p0, p1, p2) in zip(cells, points):
+        scale = [(lcm // p0) ** e for e in range(top + 1)]
+        m = g.mult[i][j]
+        for order1 in range(m):
+            u = falling(p1, order1)
+            for order2 in range(m - order1):
+                v = falling(p2, order2)
+                matrix.append([u[a] * v[b] * scale[a + b] for a, b in columns])
+    pivots = pivot_columns(matrix)
+    return [
+        math.comb(d + 2, 2) - bisect.bisect_left(pivots, math.comb(d + 2, 2))
+        for d in range(top + 1)
+    ]
 
 
 def hilbert_function_oracle(
     g: FatGrid, d: int, budget: Budget = DEFAULT_BUDGET
 ) -> int:
     """dim of the degree-d piece of the grid ideal, by rank of conditions."""
-    if d < 0:
-        raise DomainError("degree must be non-negative")
-    r, s = g.shape
-    matrix = []
-    for i in range(r):
-        for j in range(s):
-            matrix.extend(
-                _condition_rows(g.grid_points[i][j], g.mult[i][j], d)
-            )
-    return math.comb(d + 2, 2) - exact_rank(matrix, budget)
+    return hilbert_series_oracle(g, d, budget)[d]
 
 
 def _monomial_power_ideal(pairs) -> IdealPresentation:
@@ -517,15 +552,12 @@ def check_grid_end_to_end(
 
     shifts = resolution(g)
     top = max(shifts.syzygy_twists)
-    mismatches = []
-    first_positive = None
-    for d in range(top + 1):
-        predicted = hilbert_from_resolution(shifts, d)
-        computed = hilbert_function_oracle(g, d, budget)
-        if computed and first_positive is None:
-            first_positive = d
-        if predicted != computed:
-            mismatches.append((d, predicted, computed))
+    predicted = [hilbert_from_resolution(shifts, d) for d in range(top + 1)]
+    computed = hilbert_series_oracle(g, top, budget)
+    mismatches = [
+        (d, p, c) for d, (p, c) in enumerate(zip(predicted, computed)) if p != c
+    ]
+    first_positive = next((d for d, value in enumerate(computed) if value), None)
     report.add(
         "resolution Hilbert function matches the rank oracle through the"
         " largest syzygy twist",

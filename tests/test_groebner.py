@@ -18,7 +18,7 @@ from hfg.polycore import (
     normal_form,
     variables,
 )
-from hfg.polycore.groebner import _Packing
+from hfg.polycore.groebner import _Packing, normal_forms
 
 X0, X1, X2 = variables(PLANE)
 
@@ -141,6 +141,15 @@ def test_normal_form_divides_by_the_first_divisor_in_list_order():
     half = Fraction(1, 2)
     assert normal_form(3 * X0**2, [X0 - half * X1, X0 - X2]) == Fraction(3, 4) * X1**2
     assert normal_form(3 * X0**2, [X0 - X2, X0 - half * X1]) == 3 * X2**2
+
+
+def test_normal_forms_of_many_polynomials_match_one_at_a_time():
+    # X0**10 forces the lex run to widen, which restarts every reduction
+    basis = [X0 - X1**100, 2 * X1 * X2 - X0]
+    fs = [X1 * X2**2, Polynomial.zero(PLANE), X0**10, Fraction(1, 3) * X0 * X2 + X1]
+    for order in (GREVLEX, LEX):
+        assert normal_forms(fs, basis, order) == [normal_form(f, basis, order) for f in fs]
+    assert normal_forms([], basis) == []
 
 
 def test_normal_form_against_a_non_groebner_list_is_exact():

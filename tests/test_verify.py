@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
+import hfg.invariants
+import hfg.verify
 from hfg.budget import DEFAULT_BUDGET
 from hfg.errors import BudgetExceededError, DomainError
-from hfg.fatgrid import abstract_grid, expand_pattern
-from hfg.invariants import generator_patterns
-from hfg.polycore import PLANE, Polynomial, ideal_equal, ideal_power, variables
+from hfg.fatgrid import abstract_grid, expand_pattern, grid_from_json
+from hfg.invariants import generator_patterns, resolution, resurgence_certificate
+from hfg.polycore import (
+    PLANE,
+    Polynomial,
+    ideal_equal,
+    ideal_power,
+    monomials_of_degree,
+    variables,
+)
 from hfg.projective import Point, point_ideal
 from hfg.verify import (
     check_grid_end_to_end,
@@ -17,6 +28,8 @@ from hfg.verify import (
     check_point_power_product,
     exact_rank,
     hilbert_function_oracle,
+    hilbert_series_oracle,
+    pivot_columns,
     vanishing_order,
 )
 
@@ -58,6 +71,144 @@ def test_exact_rank():
     assert exact_rank([]) == 0
     with pytest.raises(BudgetExceededError):
         exact_rank([[0] * 3000])
+
+
+def test_pivot_columns_of_a_small_matrix():
+    # column 0 is zero, the smallest pivot of column 1 sits in the second
+    # row, column 2 is twice column 1, and the third row is the sum of the
+    # first two
+    matrix = [[0, 2, 4, 1, 3], [0, 1, 2, 0, 1], [0, 3, 6, 1, 4]]
+    assert pivot_columns(matrix) == [1, 3]
+    for k in range(1, 6):
+        block = [row[:k] for row in matrix]
+        assert exact_rank(block) == sum(1 for c in [1, 3] if c < k)
+    assert pivot_columns([]) == []
+
+
+def _reference_hilbert(g, d):
+    """dim of the degree-d piece by the rank over Q of that degree's own
+    condition matrix, built with Fractions in the chart of the largest-index
+    nonzero coordinate."""
+    mons = list(monomials_of_degree(PLANE, d))
+    rows = []
+    for i in range(g.shape[0]):
+        for j in range(g.shape[1]):
+            coords = list(g.grid_points[i][j])
+            pivot = max(k for k, c in enumerate(coords) if c)
+            keep = [k for k in range(3) if k != pivot]
+            a = [coords[k] / coords[pivot] for k in keep]
+            m = g.mult[i][j]
+            for o1 in range(m):
+                for o2 in range(m - o1):
+                    row = []
+                    for e in mons:
+                        e1, e2 = e[keep[0]], e[keep[1]]
+                        if e1 < o1 or e2 < o2:
+                            row.append(Fraction(0))
+                            continue
+                        row.append(
+                            math.perm(e1, o1)
+                            * math.perm(e2, o2)
+                            * a[0] ** (e1 - o1)
+                            * a[1] ** (e2 - o2)
+                        )
+                    den = math.lcm(*(x.denominator for x in row))
+                    rows.append([int(x * den) for x in row])
+    # row echelon form over Q, each row kept primitive
+    rank = 0
+    for col in range(len(mons)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            c = rows[r][col]
+            if c:
+                new = [lead[col] * x - c * y for x, y in zip(rows[r], lead)]
+                content = math.gcd(*new) or 1
+                rows[r] = [x // content for x in new]
+        rank += 1
+    return math.comb(d + 2, 2) - rank
+
+
+_EXPLICIT_GRIDS = [
+    {
+        "P": [["3", "2", "4"], ["1", "-2", "4"]],
+        "M": [1, 2],
+        "Q": [["3", "-6", "-4"], ["3", "-1", "1"]],
+        "N": [1, 2],
+    },
+    {
+        "P": [["3", "3", "-2"], ["6", "-3", "-1"]],
+        "M": [1, 2],
+        "Q": [["4", "-2", "1"], ["2", "4", "-7"], ["4", "6", "-11"]],
+        "N": [1, 1, 2],
+    },
+]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        abstract_grid((1, 2), (1, 2)),
+        abstract_grid((2, 2), (2, 3)),
+        abstract_grid((1, 2, 3), (1, 2, 3, 4)),
+    ]
+    + [grid_from_json(data) for data in _EXPLICIT_GRIDS],
+)
+def test_hilbert_series_oracle_matches_per_degree_reference(grid):
+    top = max(resolution(grid).syzygy_twists)
+    expected = [_reference_hilbert(grid, d) for d in range(top + 1)]
+    assert hilbert_series_oracle(grid, top) == expected
+    assert hilbert_function_oracle(grid, top) == expected[top]
+
+
+def test_explicit_grids_need_a_common_denominator():
+    # normalized coordinates that are not all integers make L > 1
+    for data in _EXPLICIT_GRIDS:
+        g = grid_from_json(data)
+        assert any(
+            c.denominator > 1 for row in g.grid_points for p in row for c in p
+        )
+
+
+def test_matrix_budget_is_checked_before_any_row_is_built(monkeypatch):
+    def no_rows(point):
+        raise AssertionError("condition rows built before the budget check")
+
+    monkeypatch.setattr(hfg.verify, "_primitive_coords", no_rows)
+    g = abstract_grid((1, 2), (1, 2))  # 13 condition rows
+    wide = dataclasses.replace(DEFAULT_BUDGET, max_matrix_dim=20)
+    # degree 5 is the first with more than 20 columns: C(7, 2) = 21
+    with pytest.raises(BudgetExceededError, match=r"^matrix of shape 13x21 "):
+        hilbert_series_oracle(g, 6, wide)
+    tall = dataclasses.replace(DEFAULT_BUDGET, max_matrix_dim=10)
+    with pytest.raises(BudgetExceededError, match=r"^matrix of shape 13x1 "):
+        hilbert_series_oracle(g, 6, tall)
+
+
+def test_resurgence_skip_builds_no_ideal_power(monkeypatch):
+    powers = []
+    build = hfg.invariants.ideal_power
+
+    def counted(ideal, t):
+        powers.append(t)
+        return build(ideal, t)
+
+    monkeypatch.setattr(hfg.invariants, "ideal_power", counted)
+    # the base oracle of (1,2|1,2) has top degree 5, so t=2 needs degree 10
+    budget = dataclasses.replace(DEFAULT_BUDGET, max_groebner_degree=8)
+    report = resurgence_certificate(abstract_grid((1, 2), (1, 2)), 2, budget)
+    oracle = [inst for inst in report.instances if "oracle" in inst.label]
+    assert [(inst.computed, inst.flag) for inst in oracle] == [
+        ("equal", None),
+        (
+            "not computed",
+            "skipped: Groebner input of total degree 10 exceeds budget 8",
+        ),
+    ]
+    assert powers == [1]
 
 
 def test_hilbert_oracle_single_point():

@@ -33,6 +33,7 @@ from .fatgrid import (
 )
 from .invariants import (
     alpha_degree,
+    certificate_depth,
     generator_patterns,
     hilbert_from_resolution,
     invariants_report,
@@ -357,9 +358,13 @@ def _structure_job(grid_json: dict, budget: Budget) -> dict:
     return {"instances": instances}
 
 
-def _pattern_ideal_job(grid_json: dict, budget: Budget) -> dict:
+def _pattern_ideal_job(grid_json: dict, t_max: int, budget: Budget) -> dict:
+    """Build the grid's intersection oracle once: compare the pattern ideal
+    with it, then hand it to the resurgence certificate."""
     g = grid_from_json(grid_json)
-    equal = ideal_equal(pattern_ideal(g), grid_ideal_intersection(g, budget))
+    oracle = grid_ideal_intersection(g, budget)
+    equal = ideal_equal(pattern_ideal(g), oracle)
+    certificate = resurgence_certificate(g, t_max, budget, oracle)
     return {
         "instances": [
             {
@@ -369,7 +374,8 @@ def _pattern_ideal_job(grid_json: dict, budget: Budget) -> dict:
                 "passed": equal,
                 "flag": None,
             }
-        ]
+        ],
+        "resurgence": [inst.to_dict() for inst in certificate.instances],
     }
 
 
@@ -391,12 +397,6 @@ def _hilbert_job(grid_json: dict, budget: Budget) -> dict:
             }
         )
     return {"instances": instances, "hilbert": computed}
-
-
-def _resurgence_job(grid_json: dict, t_max: int, budget: Budget) -> dict:
-    g = grid_from_json(grid_json)
-    report = resurgence_certificate(g, t_max, budget)
-    return {"instances": [inst.to_dict() for inst in report.instances]}
 
 
 def _run_verify_jobs(jobs, worker_count: int) -> list[dict]:
@@ -433,22 +433,28 @@ def verify_command(
         budget = _budget_from_flag(budget_degree)
         g = _load_grid(m, n, grid_path)
         budget.check_grid(g.total_multiplicity)
+        certificate_depth(t_max)
         grid_json = grid_to_json(g)
+        # longest unit first, so a pool starts it first; the instances are
+        # assembled in one fixed order whatever the worker count
         job_list = [
-            (_structure_job, (grid_json, budget)),
-            (_pattern_ideal_job, (grid_json, budget)),
             (_hilbert_job, (grid_json, budget)),
-            (_resurgence_job, (grid_json, t_max, budget)),
+            (_pattern_ideal_job, (grid_json, t_max, budget)),
+            (_structure_job, (grid_json, budget)),
         ]
-        results = _run_verify_jobs(job_list, jobs)
+        hilbert_unit, oracle_unit, structure_unit = _run_verify_jobs(
+            job_list, jobs
+        )
     except HfgError as exc:
         _fail(exc)
 
-    instances: list[dict] = []
-    hilbert: list[int] = []
-    for result in results:
-        instances.extend(result["instances"])
-        hilbert = result.get("hilbert", hilbert)
+    instances = (
+        structure_unit["instances"]
+        + oracle_unit["instances"]
+        + hilbert_unit["instances"]
+        + oracle_unit["resurgence"]
+    )
+    hilbert = hilbert_unit["hilbert"]
     first_positive = next(
         (d for d, value in enumerate(hilbert) if value > 0), None
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 from .budget import Budget, DEFAULT_BUDGET
 from .errors import DomainError, GridError, ParseError
@@ -268,34 +267,68 @@ def abstract_grid(row_multiplicities, col_multiplicities) -> FatGrid:
     )
 
 
-def symbolic_grid(g: FatGrid, t: int) -> FatGrid:
-    """Grid of the t-th symbolic power: M' = t*m - (t-1), N' = t*n.
+def symbolic_multiplicities(
+    g: FatGrid, t: int
+) -> tuple[list[int], list[int]]:
+    """Multiplicity vectors of the t-th symbolic power: M' = t*m - (t-1),
+    N' = t*n.
 
-    Every multiplicity-matrix entry scales by exactly t.
+    Every multiplicity-matrix entry scales by exactly t, and both maps are
+    increasing, so the vectors stay sorted in the order of the points.
     """
     t = int(t)
     if t < 1:
         raise DomainError("symbolic power index must be a positive integer")
-    new_m = [t * m - (t - 1) for m in g.row_set.multiplicities]
-    new_n = [t * n for n in g.col_set.multiplicities]
+    return (
+        [t * m - (t - 1) for m in g.row_set.multiplicities],
+        [t * n for n in g.col_set.multiplicities],
+    )
+
+
+def symbolic_grid(g: FatGrid, t: int) -> FatGrid:
+    """Grid of the t-th symbolic power, on the points of g."""
+    new_m, new_n = symbolic_multiplicities(g, t)
     return build_grid(
         WeightedPointSet.make(g.row_set.points, new_m),
         WeightedPointSet.make(g.col_set.points, new_n),
     )
 
 
+def _intersect_pairwise(ideals: list[IdealPresentation]) -> IdealPresentation:
+    """Intersect neighbours (0,1), (2,3), ... level by level; an odd one out
+    is carried up to the next level unchanged."""
+    while len(ideals) > 1:
+        paired = [
+            ideal_intersection(a, b) for a, b in zip(ideals[::2], ideals[1::2])
+        ]
+        if len(ideals) % 2:
+            paired.append(ideals[-1])
+        ideals = paired
+    return ideals[0]
+
+
 def grid_ideal_intersection(
     g: FatGrid, budget: Budget = DEFAULT_BUDGET
 ) -> IdealPresentation:
-    """Oracle ideal of the grid: intersect the point-ideal powers directly."""
+    """Oracle ideal of the grid: intersect the point-ideal powers directly.
+
+    Each grid row's point powers are intersected in a balanced pairwise
+    tree, then the row ideals are combined the same way.  The result is a
+    reduced Groebner basis, so the grouping does not change its generators.
+    """
     budget.check_grid(g.total_multiplicity)
     r, s = g.shape
-    factors = [
-        ideal_power(point_ideal(g.grid_points[i][j]), g.mult[i][j])
-        for i in range(r)
-        for j in range(s)
-    ]
-    return reduce(ideal_intersection, factors)
+    return _intersect_pairwise(
+        [
+            _intersect_pairwise(
+                [
+                    ideal_power(point_ideal(g.grid_points[i][j]), g.mult[i][j])
+                    for j in range(s)
+                ]
+            )
+            for i in range(r)
+        ]
+    )
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .fatgrid import (
     expand_pattern,
     grid_ideal_intersection,
     symbolic_grid,
+    symbolic_multiplicities,
 )
 from .polycore import IdealPresentation, ideal_equal, ideal_power
 from .report import VerificationReport
@@ -163,27 +164,35 @@ def resolution(g: FatGrid) -> ResolutionShifts:
     )
 
 
-def _pattern_bounds(g: FatGrid) -> tuple[list[int], list[int]]:
+def _bounds(M, N) -> tuple[list[int], list[int]]:
     """Unclipped exponent bounds: a_i = m_{r-i+1} + n_s - 1, b_j = n_{s-j+1} - n_s."""
-    M, N = g.row_multiplicities, g.col_multiplicities
-    r, s = g.shape
+    r, s = len(M), len(N)
     a = [M[r - 1 - i] + N[-1] - 1 for i in range(r)]
     b = [N[s - 1 - j] - N[-1] for j in range(s)]
     return a, b
 
 
-def generator_patterns(g: FatGrid) -> list[GeneratorPattern]:
-    """The m_r + n_s minimal-generator patterns of the grid ideal."""
-    a, b = _pattern_bounds(g)
-    count = g.row_multiplicities[-1] + g.col_multiplicities[-1]
+def _patterns(M, N) -> list[GeneratorPattern]:
+    """The m_r + n_s patterns of sorted multiplicity vectors M and N."""
+    a, b = _bounds(M, N)
     return [
         GeneratorPattern(
             k,
             tuple(max(x - k, 0) for x in a),
             tuple(max(y + k, 0) for y in b),
         )
-        for k in range(count)
+        for k in range(M[-1] + N[-1])
     ]
+
+
+def _pattern_bounds(g: FatGrid) -> tuple[list[int], list[int]]:
+    """Unclipped exponent bounds of the grid's generator patterns."""
+    return _bounds(g.row_multiplicities, g.col_multiplicities)
+
+
+def generator_patterns(g: FatGrid) -> list[GeneratorPattern]:
+    """The m_r + n_s minimal-generator patterns of the grid ideal."""
+    return _patterns(g.row_multiplicities, g.col_multiplicities)
 
 
 def pattern_ideal(g: FatGrid) -> IdealPresentation:
@@ -233,8 +242,19 @@ def _balanced_split(kbar: int, t: int) -> list[int]:
     return [q + 1] * rem + [q] * (t - rem)
 
 
+def certificate_depth(t_max) -> int:
+    """The resurgence certificate's depth as an int, rejected below 1."""
+    t_max = int(t_max)
+    if t_max < 1:
+        raise GridError("certificate depth must be a positive integer")
+    return t_max
+
+
 def resurgence_certificate(
-    g: FatGrid, t_max: int, budget: Budget = DEFAULT_BUDGET
+    g: FatGrid,
+    t_max: int,
+    budget: Budget = DEFAULT_BUDGET,
+    base_oracle: IdealPresentation | None = None,
 ) -> VerificationReport:
     """Certify that ordinary and symbolic powers agree up to t_max.
 
@@ -245,21 +265,20 @@ def resurgence_certificate(
     a symbolic generator.  Together these exhibit the two containments whose
     conjunction forces resurgence one.  Whenever both Groebner computations
     fit the budget, the ideal-level equality is verified outright as well;
-    otherwise that instance is recorded as skipped.
+    otherwise that instance is recorded as skipped.  A caller that already
+    holds ``grid_ideal_intersection(g)`` passes it as ``base_oracle``.
     """
-    t_max = int(t_max)
-    if t_max < 1:
-        raise GridError("certificate depth must be a positive integer")
+    t_max = certificate_depth(t_max)
     report = VerificationReport(
         subject="resurgence certificate (rho = 1) up to t = %d" % t_max
     )
     base_patterns = generator_patterns(g)
     a, b = _pattern_bounds(g)
-    base_oracle: IdealPresentation | None = None
     for t in range(1, t_max + 1):
-        gt = symbolic_grid(g, t)
-        sym_patterns = generator_patterns(gt)
-        at, bt = _pattern_bounds(gt)
+        # the symbolic grid's patterns depend on its multiplicities alone
+        mt, nt = symbolic_multiplicities(g, t)
+        sym_patterns = _patterns(mt, nt)
+        at, bt = _bounds(mt, nt)
         structural = (
             at == [t * x for x in a]
             and bt == [t * y for y in b]
@@ -320,14 +339,19 @@ def resurgence_certificate(
 
         label = "t=%d: ordinary power equals symbolic power (elimination oracle)" % t
         try:
-            budget.check_grid(gt.total_multiplicity)
+            # the t-th symbolic grid's total multiplicity
+            budget.check_grid(t * g.total_multiplicity)
             if base_oracle is None:
                 base_oracle = grid_ideal_intersection(g, budget)
             # the top degree of the t-th power, known before building it
             budget.check_groebner(3, t * base_oracle.max_generator_degree())
             power = ideal_power(base_oracle, t)
             # the first symbolic grid is g itself, whose oracle is already known
-            sym_oracle = base_oracle if t == 1 else grid_ideal_intersection(gt, budget)
+            sym_oracle = (
+                base_oracle
+                if t == 1
+                else grid_ideal_intersection(symbolic_grid(g, t), budget)
+            )
             equal = ideal_equal(power, sym_oracle)
             report.add(label, "equal", "equal" if equal else "different", equal)
         except BudgetExceededError as exc:

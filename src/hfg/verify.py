@@ -12,11 +12,6 @@ import bisect
 import math
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # gmpy2 is optional; plain ints give the same ranks
-    _mpz = int
-
 from .budget import Budget, DEFAULT_BUDGET
 from .errors import BudgetExceededError, DomainError
 from .fatgrid import FatGrid, expand_pattern, grid_ideal_intersection
@@ -48,6 +43,12 @@ def vanishing_order(f: Polynomial, p) -> int | float:
     Dehomogenizes at the largest-index coordinate of ``p`` that is nonzero,
     Taylor-shifts the affine point to the origin, and reads off the least
     total degree present.  The zero polynomial gets the +infinity sentinel.
+
+    The shift runs on integers: with primitive integer coordinates c, pivot
+    coordinate c_p and f's denominators cleared, each term is scaled by
+    c_p^(e_p) and x_k = c_k + c_p*y_k is substituted for the other
+    variables.  By homogeneity that is c_p^deg(f) times the affine Taylor
+    shift with y_k scaled by c_p, which has the same least degree.
     """
     if f.is_zero:
         return math.inf
@@ -59,25 +60,32 @@ def vanishing_order(f: Polynomial, p) -> int | float:
     if all(c == 0 for c in coords):
         raise DomainError("not a projective point: all coordinates are zero")
     pivot = max(i for i, c in enumerate(coords) if c)
-    scale = coords[pivot]
+    ints = _primitive_coords(coords)
+    scale = ints[pivot]
     keep = [i for i in range(f.block.arity) if i != pivot]
-    shift = [coords[i] / scale for i in keep]
+    den = math.lcm(*(coeff.denominator for coeff in f.terms.values()))
 
-    affine: dict[tuple[int, ...], Fraction] = {}
+    current: dict[tuple[int, ...], int] = {}
     for exps, coeff in f.terms.items():
         key = tuple(exps[i] for i in keep)
-        affine[key] = affine.get(key, Fraction(0)) + coeff
-    current = {e: c for e, c in affine.items() if c}
-    for k, a_k in enumerate(shift):
-        if a_k == 0:
+        numerator = coeff.numerator * (den // coeff.denominator)
+        current[key] = numerator * scale ** exps[pivot]
+    top = f.total_degree()
+    scale_pow = [scale**e for e in range(top + 1)]
+    for k, i in enumerate(keep):
+        c_k = ints[i]
+        if c_k == 0:
+            # x_k = c_p*y_k multiplies each term by a power of c_p that
+            # depends only on its own exponents, so no term can cancel
             continue
-        shifted: dict[tuple[int, ...], Fraction] = {}
+        c_pow = [c_k**e for e in range(top + 1)]
+        shifted: dict[tuple[int, ...], int] = {}
         for exps, coeff in current.items():
             e_k = exps[k]
             for j in range(e_k + 1):
-                term = coeff * math.comb(e_k, j) * a_k ** (e_k - j)
+                term = coeff * math.comb(e_k, j) * c_pow[e_k - j] * scale_pow[j]
                 new = exps[:k] + (j,) + exps[k + 1 :]
-                shifted[new] = shifted.get(new, Fraction(0)) + term
+                shifted[new] = shifted.get(new, 0) + term
         current = {e: c for e, c in shifted.items() if c}
     return min(sum(e) for e in current)
 
@@ -91,8 +99,8 @@ def pivot_columns(matrix) -> list[int]:
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    a = [[_mpz(x) for x in row] for row in matrix]
-    prev = _mpz(1)
+    a = [list(row) for row in matrix]
+    prev = 1
     pivots: list[int] = []
     row_at = 0
     for col in range(cols):
@@ -134,7 +142,8 @@ def exact_rank(matrix, budget: Budget = DEFAULT_BUDGET) -> int:
     return len(pivot_columns(matrix))
 
 
-def _primitive_coords(point: Point) -> list[int]:
+def _primitive_coords(point) -> list[int]:
+    """Integer coordinates with gcd 1 of a point (or a nonzero rational vector)."""
     den = math.lcm(*(c.denominator for c in point))
     ints = [int(c * den) for c in point]
     content = math.gcd(*ints)

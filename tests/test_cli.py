@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import hfg.cli as cli
+import hfg.invariants
 from hfg.polycore import ideal_from_json, ideal_to_json, irrelevant_power
 from hfg.projective import Point, point_ideal
 
@@ -225,3 +226,41 @@ def test_table_and_json_carry_the_same_data(runner):
         assert key in as_table.output
         for item in value:
             assert str(item) in as_table.output
+
+
+def test_verify_builds_each_grid_oracle_once(runner, monkeypatch):
+    calls = []
+    build = cli.grid_ideal_intersection
+
+    def counted(g, budget):
+        calls.append(g.total_multiplicity)
+        return build(g, budget)
+
+    monkeypatch.setattr(cli, "grid_ideal_intersection", counted)
+    monkeypatch.setattr(hfg.invariants, "grid_ideal_intersection", counted)
+    result = invoke(
+        runner, "verify", "--m", "1,2", "--n", "1,2", "--t-max", "2", "--jobs", "1"
+    )
+    assert result.exit_code == 0
+    # the base grid for the pattern ideal and t=1, its symbolic grid for t=2
+    assert calls == [8, 16]
+
+
+def test_verify_rejects_certificate_depth_before_any_oracle(runner, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle work before the depth check")
+
+    monkeypatch.setattr(cli, "grid_ideal_intersection", forbidden)
+    monkeypatch.setattr(hfg.invariants, "grid_ideal_intersection", forbidden)
+    monkeypatch.setattr(cli, "hilbert_series_oracle", forbidden)
+    result = runner.invoke(
+        cli.main,
+        [
+            "verify", "--m", "2,3,3", "--n", "2,3,4,4",
+            "--t-max", "0", "--budget-degree", "64",
+        ],
+    )
+    assert result.exit_code == 2
+    assert result.output == (
+        "invalid grid: certificate depth must be a positive integer\n"
+    )

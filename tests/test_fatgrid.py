@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from functools import reduce
 
 import pytest
 
+from hfg.budget import Budget
 from hfg.errors import BudgetExceededError, DomainError, GridError, ParseError
 from hfg.fatgrid import (
     FatGrid,
@@ -17,7 +19,7 @@ from hfg.fatgrid import (
     symbolic_grid,
 )
 from hfg.invariants import generator_patterns
-from hfg.polycore import ideal_equal
+from hfg.polycore import ideal_equal, ideal_intersection, ideal_power
 from hfg.projective import Point, hadamard_point, point_ideal, reciprocal
 
 COLLINEAR = [Point((1, 1, 2)), Point((1, 1, 3)), Point((1, 1, 4))]
@@ -189,3 +191,35 @@ def test_grid_ideal_oracle_small_cases():
 def test_grid_ideal_respects_budget(example_grid):
     with pytest.raises(BudgetExceededError):
         grid_ideal_intersection(example_grid)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        abstract_grid((1, 2), (1, 2)),
+        abstract_grid((1, 2, 3), (1, 2, 3, 4)),
+        abstract_grid((3,), (1, 2, 4, 5)),
+        # rows of odd length: the last point power is carried up a level
+        abstract_grid((2, 2), (1, 1, 5)),
+        grid_from_json(
+            {
+                "P": [["1", "1", "1/2"], ["1", "1", "3/4"]],
+                "M": [1, 2],
+                "Q": [["1", "2/3", "1"], ["1", "5", "1"], ["1", "-7/2", "1"]],
+                "N": [1, 2, 2],
+            }
+        ),
+        symbolic_grid(abstract_grid((1, 2), (1, 2, 3)), 2),
+    ],
+    ids=["1,2|1,2", "1,2,3|1,2,3,4", "3|1,2,4,5", "2,2|1,1,5", "explicit", "t2"],
+)
+def test_grid_ideal_tree_matches_sequential_intersection(grid):
+    budget = Budget(max_grid_multiplicity=64)
+    r, s = grid.shape
+    factors = [
+        ideal_power(point_ideal(grid.grid_points[i][j]), grid.mult[i][j])
+        for i in range(r)
+        for j in range(s)
+    ]
+    reference = reduce(ideal_intersection, factors)
+    assert grid_ideal_intersection(grid, budget).generators == reference.generators

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import hfg.invariants
 from hfg.errors import DomainError, GridError
 from hfg.fatgrid import abstract_grid, grid_ideal_intersection, symbolic_grid
 from hfg.invariants import (
@@ -227,3 +228,26 @@ def test_invariants_report_serialization(example_grid, example_budget):
     assert report["beta"] == 21
     assert report["waldschmidt"] == "16/1"
     assert report["resurgence"] == 1
+
+
+def test_resurgence_certificate_above_the_grid_cap_builds_no_symbolic_grid(
+    monkeypatch,
+):
+    built = []
+    build = hfg.invariants.symbolic_grid
+
+    def counted(g, t):
+        built.append(t)
+        return build(g, t)
+
+    monkeypatch.setattr(hfg.invariants, "symbolic_grid", counted)
+    g = abstract_grid((2, 3, 3), (2, 3, 4, 4))
+    report = resurgence_certificate(g, 3)
+    assert report.passed
+    oracle = [inst for inst in report.instances if "oracle" in inst.label]
+    assert [inst.flag for inst in oracle] == [
+        "skipped: grid total multiplicity %d exceeds budget 24;"
+        " raise it with --budget-degree" % (t * 59)
+        for t in (1, 2, 3)
+    ]
+    assert built == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -319,3 +320,80 @@ def test_point_power_product_matches_direct_elimination():
     )
     target = ideal_power(point_ideal(hadamard_point(p, q)), 2)
     assert ideal_equal(product, target)
+
+
+def _reference_vanishing_order(f, p):
+    """The Fraction Taylor shift at the largest-index nonzero coordinate."""
+    coords = [Fraction(c) for c in p]
+    pivot = max(i for i, c in enumerate(coords) if c)
+    keep = [i for i in range(3) if i != pivot]
+    shift = [coords[i] / coords[pivot] for i in keep]
+    current = {}
+    for exps, coeff in f.terms.items():
+        key = tuple(exps[i] for i in keep)
+        current[key] = current.get(key, Fraction(0)) + coeff
+    for k, a_k in enumerate(shift):
+        shifted = {}
+        for exps, coeff in current.items():
+            e_k = exps[k]
+            for j in range(e_k + 1):
+                new = exps[:k] + (j,) + exps[k + 1 :]
+                term = coeff * math.comb(e_k, j) * a_k ** (e_k - j)
+                shifted[new] = shifted.get(new, Fraction(0)) + term
+        current = {e: c for e, c in shifted.items() if c}
+    return min(sum(e) for e in current)
+
+
+def _random_form_through(rng, p, lines, degree):
+    """A random rational form of the given degree times `lines` random
+    linear forms through p, so its order at p is usually `lines`."""
+    monomials = list(monomials_of_degree(PLANE, degree))
+    f = Polynomial(PLANE, {})
+    while f.is_zero:
+        f = Polynomial(
+            PLANE,
+            {
+                e: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                for e in rng.sample(monomials, rng.randint(1, len(monomials)))
+            },
+        )
+    while lines:
+        v = [rng.randint(-3, 3) for _ in range(3)]
+        line = (
+            p[1] * v[2] - p[2] * v[1],
+            p[2] * v[0] - p[0] * v[2],
+            p[0] * v[1] - p[1] * v[0],
+        )
+        if any(line):
+            f = f * (line[0] * X0 + line[1] * X1 + line[2] * X2)
+            lines -= 1
+    return f
+
+
+@pytest.mark.parametrize("zeros", [0, 1, 2])
+def test_integer_vanishing_order_matches_the_fraction_taylor_shift(zeros):
+    rng = random.Random(zeros)
+    for _ in range(60):
+        p = [
+            Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3))
+            for _ in range(3)
+        ]
+        for i in rng.sample(range(3), zeros):
+            p[i] = Fraction(0)
+        f = _random_form_through(rng, p, rng.randint(0, 4), rng.randint(0, 3))
+        assert vanishing_order(f, Point(tuple(p))) == _reference_vanishing_order(
+            f, p
+        )
+
+
+def test_integer_vanishing_order_on_every_pattern_and_grid_point():
+    g = abstract_grid((1, 2, 3), (1, 2, 3, 4))
+    r, s = g.shape
+    for pat in generator_patterns(g):
+        f = expand_pattern(g, pat)
+        for i in range(r):
+            for j in range(s):
+                point = g.grid_points[i][j]
+                assert vanishing_order(f, point) == _reference_vanishing_order(
+                    f, point
+                )

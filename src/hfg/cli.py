@@ -23,38 +23,17 @@ from .errors import (
     HfgError,
     ParseError,
 )
-from .fatgrid import (
-    FatGrid,
-    abstract_grid,
-    expand_pattern,
-    grid_from_json,
-    grid_ideal_intersection,
-    grid_to_json,
-)
-from .invariants import (
-    alpha_degree,
-    certificate_depth,
-    generator_patterns,
-    hilbert_from_resolution,
-    invariants_report,
-    pattern_ideal,
-    resolution,
-    resurgence_certificate,
-)
+from .fatgrid import FatGrid, abstract_grid, expand_pattern, grid_from_json
+from .invariants import generator_patterns, invariants_report, resolution
 from .polycore import (
     format_rational,
     hadamard_ideals,
-    ideal_equal,
     ideal_from_json,
     ideal_to_json,
     join_ideals,
 )
 from .projective import Point
-from .verify import (
-    check_point_power_product,
-    hilbert_series_oracle,
-    vanishing_order,
-)
+from .verify import check_point_power_product, grid_check_plan, grid_report
 
 
 _ERROR_PREFIX = {
@@ -309,97 +288,18 @@ def generators_command(m, n, grid_path, output_format) -> None:
     show_default=True,
     help="Depth of the resurgence certificate.",
 )
-@_budget_option
 @_format_option
-def invariants_command(m, n, grid_path, t_max, budget_degree, output_format) -> None:
-    """Print all closed-form invariants of the grid."""
+def invariants_command(m, n, grid_path, t_max, output_format) -> None:
+    """Print all closed-form invariants of the grid; no oracle runs."""
     try:
-        budget = _budget_from_flag(budget_degree)
         g = _load_grid(m, n, grid_path)
-        payload = invariants_report(g, t_max=t_max, budget=budget)
+        payload = invariants_report(g, t_max=t_max)
     except HfgError as exc:
         _fail(exc)
     _emit(payload, output_format)
 
 
-def _structure_job(grid_json: dict, budget: Budget) -> dict:
-    g = grid_from_json(grid_json)
-    patterns = generator_patterns(g)
-    expected = g.row_multiplicities[-1] + g.col_multiplicities[-1]
-    instances = [
-        {
-            "label": "pattern count equals m_r + n_s",
-            "expected": str(expected),
-            "computed": str(len(patterns)),
-            "passed": len(patterns) == expected,
-            "flag": None,
-        }
-    ]
-    r, s = g.shape
-    ok = True
-    note = "all orders sufficient"
-    for pat in patterns:
-        poly = expand_pattern(g, pat)
-        for i in range(r):
-            for j in range(s):
-                if vanishing_order(poly, g.grid_points[i][j]) < g.mult[i][j]:
-                    ok = False
-                    note = "pattern k=%d fails at point (%d,%d)" % (pat.k, i, j)
-    instances.append(
-        {
-            "label": "every expanded pattern vanishes to full multiplicity"
-            " at every grid point",
-            "expected": "orders at least the multiplicities",
-            "computed": note,
-            "passed": ok,
-            "flag": None,
-        }
-    )
-    return {"instances": instances}
-
-
-def _pattern_ideal_job(grid_json: dict, t_max: int, budget: Budget) -> dict:
-    """Build the grid's intersection oracle once: compare the pattern ideal
-    with it, then hand it to the resurgence certificate."""
-    g = grid_from_json(grid_json)
-    oracle = grid_ideal_intersection(g, budget)
-    equal = ideal_equal(pattern_ideal(g), oracle)
-    certificate = resurgence_certificate(g, t_max, budget, oracle)
-    return {
-        "instances": [
-            {
-                "label": "pattern ideal equals the intersection oracle",
-                "expected": "equal",
-                "computed": "equal" if equal else "different",
-                "passed": equal,
-                "flag": None,
-            }
-        ],
-        "resurgence": [inst.to_dict() for inst in certificate.instances],
-    }
-
-
-def _hilbert_job(grid_json: dict, budget: Budget) -> dict:
-    g = grid_from_json(grid_json)
-    shifts = resolution(g)
-    computed = hilbert_series_oracle(g, max(shifts.syzygy_twists), budget)
-    instances = []
-    for degree, value in enumerate(computed):
-        predicted = hilbert_from_resolution(shifts, degree)
-        instances.append(
-            {
-                "label": "resolution Hilbert function matches the rank oracle"
-                " at degree %d" % degree,
-                "expected": str(predicted),
-                "computed": str(value),
-                "passed": predicted == value,
-                "flag": None,
-            }
-        )
-    return {"instances": instances, "hilbert": computed}
-
-
-def _run_verify_jobs(jobs, worker_count: int) -> list[dict]:
+def _run_verify_jobs(jobs, worker_count: int) -> list:
     if worker_count <= 1:
         return [fn(*args) for fn, args in jobs]
     with ProcessPoolExecutor(max_workers=worker_count) as pool:
@@ -432,56 +332,15 @@ def verify_command(
     try:
         budget = _budget_from_flag(budget_degree)
         g = _load_grid(m, n, grid_path)
-        budget.check_grid(g.total_multiplicity)
-        certificate_depth(t_max)
-        grid_json = grid_to_json(g)
-        # longest unit first, so a pool starts it first; the instances are
-        # assembled in one fixed order whatever the worker count
-        job_list = [
-            (_hilbert_job, (grid_json, budget)),
-            (_pattern_ideal_job, (grid_json, t_max, budget)),
-            (_structure_job, (grid_json, budget)),
-        ]
-        hilbert_unit, oracle_unit, structure_unit = _run_verify_jobs(
-            job_list, jobs
-        )
+        plan = grid_check_plan(g, t_max, budget)
+        report = grid_report(g, t_max, _run_verify_jobs(plan, jobs))
     except HfgError as exc:
         _fail(exc)
-
-    instances = (
-        structure_unit["instances"]
-        + oracle_unit["instances"]
-        + hilbert_unit["instances"]
-        + oracle_unit["resurgence"]
-    )
-    hilbert = hilbert_unit["hilbert"]
-    first_positive = next(
-        (d for d, value in enumerate(hilbert) if value > 0), None
-    )
-    alpha = alpha_degree(g)
-    instances.append(
-        {
-            "label": "initial degree matches the first nonzero oracle"
-            " dimension",
-            "expected": str(alpha),
-            "computed": str(first_positive),
-            "passed": first_positive == alpha,
-            "flag": None,
-        }
-    )
-    passed = all(inst["passed"] for inst in instances)
-    payload = {
-        "subject": "grid verification, M=%s, N=%s"
-        % (list(g.row_multiplicities), list(g.col_multiplicities)),
-        "passed": passed,
-        "checks": len(instances),
-        "instances": instances,
-    }
-    _emit(payload, output_format)
-    if not passed:
-        failed = sum(1 for inst in instances if not inst["passed"])
+    _emit(report.to_dict(), output_format)
+    if not report.passed:
         click.echo(
-            "verification failed: %d of %d checks" % (failed, len(instances)),
+            "verification failed: %d of %d checks"
+            % (len(report.failures()), len(report.instances)),
             err=True,
         )
         sys.exit(1)

@@ -13,17 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .budget import Budget, DEFAULT_BUDGET
-from .errors import BudgetExceededError, DomainError, GridError
+from .errors import DomainError, GridError
 from .fatgrid import (
     FatGrid,
     GeneratorPattern,
     expand_pattern,
-    grid_ideal_intersection,
-    symbolic_grid,
     symbolic_multiplicities,
 )
-from .polycore import IdealPresentation, ideal_equal, ideal_power
+from .polycore import IdealPresentation
 from .report import VerificationReport
 
 
@@ -250,23 +247,17 @@ def certificate_depth(t_max) -> int:
     return t_max
 
 
-def resurgence_certificate(
-    g: FatGrid,
-    t_max: int,
-    budget: Budget = DEFAULT_BUDGET,
-    base_oracle: IdealPresentation | None = None,
-) -> VerificationReport:
-    """Certify that ordinary and symbolic powers agree up to t_max.
+def resurgence_certificate(g: FatGrid, t_max: int) -> VerificationReport:
+    """Certify combinatorially that ordinary and symbolic powers agree up
+    to t_max.
 
-    For each t the certificate checks, combinatorially, that the generator
-    patterns of the t-th symbolic grid scale the base exponent bounds by t,
-    that each symbolic pattern equals the balanced t-fold product of base
-    patterns, and that every t-fold product of base patterns is divisible by
-    a symbolic generator.  Together these exhibit the two containments whose
-    conjunction forces resurgence one.  Whenever both Groebner computations
-    fit the budget, the ideal-level equality is verified outright as well;
-    otherwise that instance is recorded as skipped.  A caller that already
-    holds ``grid_ideal_intersection(g)`` passes it as ``base_oracle``.
+    For each t the certificate checks that the generator patterns of the
+    t-th symbolic grid scale the base exponent bounds by t, that each
+    symbolic pattern equals the balanced t-fold product of base patterns,
+    and that every t-fold product of base patterns is divisible by a
+    symbolic generator.  Together these exhibit the two containments whose
+    conjunction forces resurgence one.  No oracle runs here; the
+    ideal-level equality is the elimination unit of ``hfg.verify``.
     """
     t_max = certificate_depth(t_max)
     report = VerificationReport(
@@ -336,40 +327,16 @@ def resurgence_certificate(
             else "failures at %s" % undominated[:3],
             not undominated,
         )
-
-        label = "t=%d: ordinary power equals symbolic power (elimination oracle)" % t
-        try:
-            # the t-th symbolic grid's total multiplicity
-            budget.check_grid(t * g.total_multiplicity)
-            if base_oracle is None:
-                base_oracle = grid_ideal_intersection(g, budget)
-            # the top degree of the t-th power, known before building it
-            budget.check_groebner(3, t * base_oracle.max_generator_degree())
-            power = ideal_power(base_oracle, t)
-            # the first symbolic grid is g itself, whose oracle is already known
-            sym_oracle = (
-                base_oracle
-                if t == 1
-                else grid_ideal_intersection(symbolic_grid(g, t), budget)
-            )
-            equal = ideal_equal(power, sym_oracle)
-            report.add(label, "equal", "equal" if equal else "different", equal)
-        except BudgetExceededError as exc:
-            report.add(
-                label, "equal", "not computed", True, flag="skipped: %s" % exc
-            )
     return report
 
 
-def invariants_report(
-    g: FatGrid, t_max: int = 2, budget: Budget = DEFAULT_BUDGET
-) -> dict:
+def invariants_report(g: FatGrid, t_max: int = 2) -> dict:
     """All closed-form invariants of the grid as one JSON-ready mapping."""
     tup = alpha_tuple(g)
     corners = corner_sets(tup)
     shifts = resolution(g)
     w = waldschmidt(g)
-    certificate = resurgence_certificate(g, t_max, budget)
+    certificate = resurgence_certificate(g, t_max)
     if not certificate.passed:
         raise GridError(
             "resurgence certificate failed: %s"

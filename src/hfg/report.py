@@ -33,7 +33,6 @@ class CheckInstance:
 class VerificationReport:
     subject: str
     instances: list[CheckInstance] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
 
     def add(
         self,
@@ -47,10 +46,6 @@ class VerificationReport:
         self.instances.append(inst)
         return inst
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.instances.extend(other.instances)
-        self.elapsed_seconds += other.elapsed_seconds
-
     @property
     def passed(self) -> bool:
         return all(inst.passed for inst in self.instances)
@@ -63,7 +58,6 @@ class VerificationReport:
             "subject": self.subject,
             "passed": self.passed,
             "checks": len(self.instances),
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
             "instances": [inst.to_dict() for inst in self.instances],
         }
 

@@ -4,7 +4,8 @@ Two oracles that share no code with the closed-form layer: vanishing orders
 via exact Taylor expansion at a point, and fat-point Hilbert functions via
 ranks of derivative-condition matrices (fraction-free elimination).  On top
 of them, checkers replay the power-product statements for points in the
-several coordinate strata and bundle the grid-level cross-checks.
+several coordinate strata, and one plan of independent units runs the
+grid-level cross-checks for both the library and the CLI.
 """
 from __future__ import annotations
 
@@ -14,13 +15,22 @@ from fractions import Fraction
 
 from .budget import Budget, DEFAULT_BUDGET
 from .errors import BudgetExceededError, DomainError
-from .fatgrid import FatGrid, expand_pattern, grid_ideal_intersection
+from .fatgrid import (
+    FatGrid,
+    expand_pattern,
+    grid_from_json,
+    grid_ideal_intersection,
+    grid_to_json,
+    symbolic_grid,
+)
 from .invariants import (
     alpha_degree,
+    certificate_depth,
     generator_patterns,
     hilbert_from_resolution,
     pattern_ideal,
     resolution,
+    resurgence_certificate,
 )
 from .polycore import (
     PLANE,
@@ -34,7 +44,7 @@ from .polycore import (
     monomials_of_degree,
 )
 from .projective import Point, delta_index, hadamard_point, point_ideal
-from .report import VerificationReport
+from .report import CheckInstance, VerificationReport
 
 
 def vanishing_order(f: Polynomial, p) -> int | float:
@@ -502,31 +512,13 @@ def check_join_symbolic(
     return report
 
 
-def check_grid_end_to_end(
-    g: FatGrid, budget: Budget = DEFAULT_BUDGET
-) -> VerificationReport:
-    """All grid-level cross-checks that an oracle can decide.
-
-    Pattern count, vanishing orders of every expanded pattern at every grid
-    point, equality of the pattern ideal with the intersection oracle, the
-    resolution-derived Hilbert function against the rank oracle through the
-    largest syzygy twist, and the initial degree against the oracle.
-    """
-    report = VerificationReport(
-        subject="grid end-to-end, M=%s, N=%s"
-        % (list(g.row_multiplicities), list(g.col_multiplicities))
-    )
+def grid_structure_unit(grid_json: dict) -> list[CheckInstance]:
+    """Pattern count, and the vanishing order of every expanded pattern at
+    every grid point."""
+    g = grid_from_json(grid_json)
     patterns = generator_patterns(g)
-    expected_count = g.row_multiplicities[-1] + g.col_multiplicities[-1]
-    report.add(
-        "pattern count equals m_r + n_s",
-        str(expected_count),
-        str(len(patterns)),
-        len(patterns) == expected_count,
-    )
-
+    expected = g.row_multiplicities[-1] + g.col_multiplicities[-1]
     r, s = g.shape
-    orders_ok = True
     worst = ""
     for pat in patterns:
         poly = expand_pattern(g, pat)
@@ -534,7 +526,6 @@ def check_grid_end_to_end(
             for j in range(s):
                 order = vanishing_order(poly, g.grid_points[i][j])
                 if order < g.mult[i][j]:
-                    orders_ok = False
                     worst = "pattern k=%d at point (%d,%d): order %s < %d" % (
                         pat.k,
                         i,
@@ -542,44 +533,139 @@ def check_grid_end_to_end(
                         order,
                         g.mult[i][j],
                     )
-    report.add(
-        "every expanded pattern vanishes to full multiplicity at every"
-        " grid point",
-        "orders at least the multiplicities",
-        worst or "all orders sufficient",
-        orders_ok,
-    )
+    return [
+        CheckInstance(
+            "pattern count equals m_r + n_s",
+            str(expected),
+            str(len(patterns)),
+            len(patterns) == expected,
+        ),
+        CheckInstance(
+            "every expanded pattern vanishes to full multiplicity at every"
+            " grid point",
+            "orders at least the multiplicities",
+            worst or "all orders sufficient",
+            not worst,
+        ),
+    ]
 
+
+def grid_elimination_unit(
+    grid_json: dict, t_max: int, budget: Budget
+) -> list[CheckInstance]:
+    """The pattern ideal against the intersection oracle, then for each
+    t = 1..t_max the t-th power of that oracle against the oracle of the
+    t-th symbolic grid.  The base oracle is built once; an equality over a
+    cap is recorded as skipped."""
+    g = grid_from_json(grid_json)
     oracle = grid_ideal_intersection(g, budget)
     equal = ideal_equal(pattern_ideal(g), oracle)
-    report.add(
-        "pattern ideal equals the intersection oracle",
-        "equal",
-        "equal" if equal else "different",
-        equal,
-    )
-
-    shifts = resolution(g)
-    top = max(shifts.syzygy_twists)
-    predicted = [hilbert_from_resolution(shifts, d) for d in range(top + 1)]
-    computed = hilbert_series_oracle(g, top, budget)
-    mismatches = [
-        (d, p, c) for d, (p, c) in enumerate(zip(predicted, computed)) if p != c
+    instances = [
+        CheckInstance(
+            "pattern ideal equals the intersection oracle",
+            "equal",
+            "equal" if equal else "different",
+            equal,
+        )
     ]
+    for t in range(1, t_max + 1):
+        label = "t=%d: ordinary power equals symbolic power (elimination oracle)" % t
+        try:
+            # the t-th symbolic grid's total multiplicity
+            budget.check_grid(t * g.total_multiplicity)
+            # the top degree of the t-th power, known before building it
+            budget.check_groebner(3, t * oracle.max_generator_degree())
+            power = ideal_power(oracle, t)
+            # the first symbolic grid is g itself
+            sym_oracle = (
+                oracle
+                if t == 1
+                else grid_ideal_intersection(symbolic_grid(g, t), budget)
+            )
+            equal = ideal_equal(power, sym_oracle)
+            instances.append(
+                CheckInstance(
+                    label, "equal", "equal" if equal else "different", equal
+                )
+            )
+        except BudgetExceededError as exc:
+            instances.append(
+                CheckInstance(
+                    label, "equal", "not computed", True, "skipped: %s" % exc
+                )
+            )
+    return instances
+
+
+def grid_hilbert_unit(grid_json: dict, budget: Budget) -> list[CheckInstance]:
+    """The resolution's Hilbert function against the rank oracle at every
+    degree through the largest syzygy twist, then (last) the initial degree
+    against the first degree where the oracle dimension is positive."""
+    g = grid_from_json(grid_json)
+    shifts = resolution(g)
+    computed = hilbert_series_oracle(g, max(shifts.syzygy_twists), budget)
+    instances = []
+    for degree, value in enumerate(computed):
+        predicted = hilbert_from_resolution(shifts, degree)
+        instances.append(
+            CheckInstance(
+                "resolution Hilbert function matches the rank oracle"
+                " at degree %d" % degree,
+                str(predicted),
+                str(value),
+                predicted == value,
+            )
+        )
     first_positive = next((d for d, value in enumerate(computed) if value), None)
-    report.add(
-        "resolution Hilbert function matches the rank oracle through the"
-        " largest syzygy twist",
-        "agreement for d = 0..%d" % top,
-        "agreement" if not mismatches else "mismatches at %s" % mismatches[:3],
-        not mismatches,
+    alpha = alpha_degree(g)
+    instances.append(
+        CheckInstance(
+            "initial degree matches the first nonzero oracle dimension",
+            str(alpha),
+            str(first_positive),
+            first_positive == alpha,
+        )
+    )
+    return instances
+
+
+def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
+    """The grid checks as independent (unit, args) jobs, the longest (the
+    rank oracle) first so that a process pool starts it first.
+
+    The grid cap and the certificate depth are checked here, before any
+    unit runs.  Units take the grid as JSON, so the jobs pickle.
+    """
+    budget.check_grid(g.total_multiplicity)
+    t_max = certificate_depth(t_max)
+    grid_json = grid_to_json(g)
+    return [
+        (grid_hilbert_unit, (grid_json, budget)),
+        (grid_elimination_unit, (grid_json, t_max, budget)),
+        (grid_structure_unit, (grid_json,)),
+    ]
+
+
+def grid_report(g: FatGrid, t_max: int, results) -> VerificationReport:
+    """Assemble the plan's unit results in one fixed order: structure,
+    pattern ideal, Hilbert function by degree, for each t the three
+    combinatorial resurgence instances followed by the elimination oracle's,
+    and the initial degree."""
+    hilbert, elimination, structure = results
+    certificate = resurgence_certificate(g, t_max).instances
+    resurgence = []
+    for t, oracle in enumerate(elimination[1:]):
+        resurgence += certificate[3 * t : 3 * t + 3] + [oracle]
+    return VerificationReport(
+        "grid verification, M=%s, N=%s"
+        % (list(g.row_multiplicities), list(g.col_multiplicities)),
+        structure + elimination[:1] + hilbert[:-1] + resurgence + hilbert[-1:],
     )
 
-    alpha = alpha_degree(g)
-    report.add(
-        "initial degree matches the first nonzero oracle dimension",
-        str(alpha),
-        str(first_positive),
-        first_positive == alpha,
-    )
-    return report
+
+def check_grid_end_to_end(
+    g: FatGrid, budget: Budget = DEFAULT_BUDGET, t_max: int = 2
+) -> VerificationReport:
+    """Run the grid check plan serially; ``hfg verify`` runs the same plan."""
+    plan = grid_check_plan(g, t_max, budget)
+    return grid_report(g, t_max, [unit(*args) for unit, args in plan])

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
+from hfg.budget import DEFAULT_BUDGET
 from hfg.fatgrid import abstract_grid, grid_ideal_intersection, symbolic_grid
 from hfg.invariants import (
     alpha_degree,
@@ -39,7 +40,7 @@ from hfg.polycore import (
     join_ideals,
 )
 from hfg.projective import Point, hadamard_point, point_ideal
-from hfg.verify import hilbert_function_oracle
+from hfg.verify import check_grid_end_to_end, hilbert_function_oracle
 
 from conftest import small_grid_profiles
 
@@ -242,10 +243,10 @@ def test_criterion_7_waldschmidt_and_symbolic_scaling():
     elapsed_under(start, 120.0)
 
 
-def test_criterion_8_resurgence_certificate(example_grid, example_budget):
+def test_criterion_8_resurgence_certificate(example_grid):
     start = time.monotonic()
 
-    report = resurgence_certificate(example_grid, 3, example_budget)
+    report = resurgence_certificate(example_grid, 3)
     assert report.passed
     for t in (1, 2, 3):
         matches = [
@@ -259,14 +260,16 @@ def test_criterion_8_resurgence_certificate(example_grid, example_budget):
     small_report = resurgence_certificate(g, 2)
     assert small_report.passed
     oracle_instances = [
-        inst for inst in small_report.instances if "elimination oracle" in inst.label
+        inst
+        for inst in check_grid_end_to_end(g, DEFAULT_BUDGET, t_max=2).instances
+        if "elimination oracle" in inst.label
     ]
     assert len(oracle_instances) == 2
     assert all(inst.flag is None for inst in oracle_instances)
     assert all(inst.computed == "equal" for inst in oracle_instances)
 
     assert invariants_report(g, t_max=2)["resurgence"] == 1
-    assert invariants_report(example_grid, t_max=3, budget=example_budget)["resurgence"] == 1
+    assert invariants_report(example_grid, t_max=3)["resurgence"] == 1
 
     elapsed_under(start, 600.0)
 

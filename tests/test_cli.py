@@ -6,9 +6,12 @@ import pytest
 from click.testing import CliRunner
 
 import hfg.cli as cli
-import hfg.invariants
+import hfg.verify
+from hfg.budget import DEFAULT_BUDGET
+from hfg.fatgrid import abstract_grid
 from hfg.polycore import ideal_from_json, ideal_to_json, irrelevant_power
 from hfg.projective import Point, point_ideal
+from hfg.report import CheckInstance
 
 
 @pytest.fixture
@@ -148,23 +151,42 @@ def test_verify_output_is_identical_across_job_counts(runner):
 
 
 def test_verify_failure_sets_exit_code_one(runner, monkeypatch):
-    def broken(grid_json, budget):
-        return {
-            "instances": [
-                {
-                    "label": "forced failure",
-                    "expected": "pass",
-                    "computed": "fail",
-                    "passed": False,
-                    "flag": None,
-                }
-            ]
-        }
+    def broken(grid_json):
+        return [CheckInstance("forced failure", "pass", "fail", False)]
 
-    monkeypatch.setattr(cli, "_structure_job", broken)
+    monkeypatch.setattr(hfg.verify, "grid_structure_unit", broken)
     result = runner.invoke(cli.main, ["verify", "--m", "1", "--n", "1"])
     assert result.exit_code == 1
     assert "verification failed" in result.output
+
+
+def test_verify_prints_a_failing_vanishing_order(runner, monkeypatch):
+    monkeypatch.setattr(hfg.verify, "vanishing_order", lambda f, p: 0)
+    result = runner.invoke(cli.main, ["verify", "--m", "1", "--n", "1"])
+    assert result.exit_code == 1
+    # (1|1) has the patterns k=0 and k=1; the note names the last failure
+    assert '"computed": "pattern k=1 at point (0,0): order 0 < 1"' in result.output
+
+
+def test_library_and_cli_run_the_same_grid_plan(runner):
+    report = hfg.verify.check_grid_end_to_end(
+        abstract_grid((1, 2), (1, 2)), DEFAULT_BUDGET, t_max=2
+    )
+    expected = report.to_dict()["instances"]
+    for jobs in ("1", "2"):
+        result = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", jobs)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["instances"] == expected
+
+
+def test_invariants_has_no_budget_flag(runner):
+    result = runner.invoke(
+        cli.main,
+        ["invariants", "--m", "1,2", "--n", "1,2", "--budget-degree", "64"],
+    )
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert "--budget-degree" in result.output
 
 
 def test_hadamard_and_join_commands(runner, tmp_path):
@@ -230,14 +252,13 @@ def test_table_and_json_carry_the_same_data(runner):
 
 def test_verify_builds_each_grid_oracle_once(runner, monkeypatch):
     calls = []
-    build = cli.grid_ideal_intersection
+    build = hfg.verify.grid_ideal_intersection
 
     def counted(g, budget):
         calls.append(g.total_multiplicity)
         return build(g, budget)
 
-    monkeypatch.setattr(cli, "grid_ideal_intersection", counted)
-    monkeypatch.setattr(hfg.invariants, "grid_ideal_intersection", counted)
+    monkeypatch.setattr(hfg.verify, "grid_ideal_intersection", counted)
     result = invoke(
         runner, "verify", "--m", "1,2", "--n", "1,2", "--t-max", "2", "--jobs", "1"
     )
@@ -250,9 +271,8 @@ def test_verify_rejects_certificate_depth_before_any_oracle(runner, monkeypatch)
     def forbidden(*args, **kwargs):
         raise AssertionError("oracle work before the depth check")
 
-    monkeypatch.setattr(cli, "grid_ideal_intersection", forbidden)
-    monkeypatch.setattr(hfg.invariants, "grid_ideal_intersection", forbidden)
-    monkeypatch.setattr(cli, "hilbert_series_oracle", forbidden)
+    monkeypatch.setattr(hfg.verify, "grid_ideal_intersection", forbidden)
+    monkeypatch.setattr(hfg.verify, "hilbert_series_oracle", forbidden)
     result = runner.invoke(
         cli.main,
         [

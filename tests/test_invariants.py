@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-import hfg.invariants
+import hfg.verify
+from hfg.budget import DEFAULT_BUDGET
 from hfg.errors import DomainError, GridError
-from hfg.fatgrid import abstract_grid, grid_ideal_intersection, symbolic_grid
+from hfg.fatgrid import (
+    abstract_grid,
+    grid_ideal_intersection,
+    grid_to_json,
+    symbolic_grid,
+)
 from hfg.invariants import (
     AlphaTuple,
     alpha_degree,
@@ -26,6 +34,7 @@ from hfg.invariants import (
     waldschmidt,
 )
 from hfg.polycore import ideal_equal
+from hfg.verify import grid_elimination_unit
 
 EXAMPLE_ALPHA = (21, 21, 17, 17, 17, 13, 13, 13, 9, 9, 9, 5, 5, 5, 2, 2, 2)
 EXAMPLE_V = {(2, 21), (5, 17), (8, 13), (11, 9), (14, 5), (17, 2)}
@@ -184,10 +193,11 @@ def test_resurgence_certificate_trivial_t1(example_grid):
     assert any("balanced" in l for l in labels)
 
 
-def test_resurgence_certificate_example_t3(example_grid):
+def test_resurgence_certificate_example_t3(example_grid, example_budget):
     report = resurgence_certificate(example_grid, 3)
     assert report.passed
-    skipped = [inst for inst in report.instances if inst.flag]
+    instances = grid_elimination_unit(grid_to_json(example_grid), 3, example_budget)
+    skipped = [inst for inst in instances if inst.flag]
     # The full elimination cross-check is out of budget for the 3x4 grid and
     # must be reported as skipped, never silently dropped.
     assert skipped
@@ -199,15 +209,17 @@ def test_resurgence_certificate_with_groebner_cross_check():
     report = resurgence_certificate(g, 2)
     assert report.passed
     oracle_instances = [
-        inst for inst in report.instances if "elimination oracle" in inst.label
+        inst
+        for inst in grid_elimination_unit(grid_to_json(g), 2, DEFAULT_BUDGET)
+        if "elimination oracle" in inst.label
     ]
     assert len(oracle_instances) == 2
     assert all(inst.flag is None for inst in oracle_instances)
     assert all(inst.computed == "equal" for inst in oracle_instances)
 
 
-def test_invariants_report_serialization(example_grid, example_budget):
-    report = invariants_report(example_grid, t_max=2, budget=example_budget)
+def test_invariants_report_serialization(example_grid):
+    report = invariants_report(example_grid, t_max=2)
     assert list(report) == [
         "alpha_tuple",
         "C",
@@ -234,20 +246,35 @@ def test_resurgence_certificate_above_the_grid_cap_builds_no_symbolic_grid(
     monkeypatch,
 ):
     built = []
-    build = hfg.invariants.symbolic_grid
+    build = hfg.verify.symbolic_grid
 
     def counted(g, t):
         built.append(t)
         return build(g, t)
 
-    monkeypatch.setattr(hfg.invariants, "symbolic_grid", counted)
-    g = abstract_grid((2, 3, 3), (2, 3, 4, 4))
-    report = resurgence_certificate(g, 3)
-    assert report.passed
-    oracle = [inst for inst in report.instances if "oracle" in inst.label]
-    assert [inst.flag for inst in oracle] == [
-        "skipped: grid total multiplicity %d exceeds budget 24;"
-        " raise it with --budget-degree" % (t * 59)
-        for t in (1, 2, 3)
+    monkeypatch.setattr(hfg.verify, "symbolic_grid", counted)
+    g = abstract_grid((1, 2), (1, 2))  # total multiplicity 8
+    budget = dataclasses.replace(DEFAULT_BUDGET, max_grid_multiplicity=12)
+    assert resurgence_certificate(g, 3).passed
+    instances = grid_elimination_unit(grid_to_json(g), 3, budget)
+    oracle = [inst for inst in instances if "elimination oracle" in inst.label]
+    assert all(inst.passed for inst in oracle)
+    # t=1 compares with the base oracle; t=2 and t=3 exceed the grid cap
+    assert [inst.flag for inst in oracle] == [None] + [
+        "skipped: grid total multiplicity %d exceeds budget 12;"
+        " raise it with --budget-degree" % (t * 8)
+        for t in (2, 3)
     ]
     assert built == []
+
+
+def test_invariants_report_runs_no_oracle(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle work in the closed-form report")
+
+    for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "hfg"]:
+        for name in ("grid_ideal_intersection", "ideal_power", "symbolic_grid"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    report = invariants_report(abstract_grid((1, 2), (1, 2)), t_max=2)
+    assert report["resurgence"] == 1

@@ -7,12 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-import hfg.invariants
 import hfg.verify
 from hfg.budget import DEFAULT_BUDGET
 from hfg.errors import BudgetExceededError, DomainError
-from hfg.fatgrid import abstract_grid, expand_pattern, grid_from_json
-from hfg.invariants import generator_patterns, resolution, resurgence_certificate
+from hfg.fatgrid import abstract_grid, expand_pattern, grid_from_json, grid_to_json
+from hfg.invariants import generator_patterns, resolution
 from hfg.polycore import (
     PLANE,
     Polynomial,
@@ -28,6 +27,7 @@ from hfg.verify import (
     check_lemma_irrelevant,
     check_point_power_product,
     exact_rank,
+    grid_elimination_unit,
     hilbert_function_oracle,
     hilbert_series_oracle,
     pivot_columns,
@@ -191,17 +191,20 @@ def test_matrix_budget_is_checked_before_any_row_is_built(monkeypatch):
 
 def test_resurgence_skip_builds_no_ideal_power(monkeypatch):
     powers = []
-    build = hfg.invariants.ideal_power
+    build = hfg.verify.ideal_power
 
     def counted(ideal, t):
         powers.append(t)
         return build(ideal, t)
 
-    monkeypatch.setattr(hfg.invariants, "ideal_power", counted)
+    monkeypatch.setattr(hfg.verify, "ideal_power", counted)
     # the base oracle of (1,2|1,2) has top degree 5, so t=2 needs degree 10
     budget = dataclasses.replace(DEFAULT_BUDGET, max_groebner_degree=8)
-    report = resurgence_certificate(abstract_grid((1, 2), (1, 2)), 2, budget)
-    oracle = [inst for inst in report.instances if "oracle" in inst.label]
+    instances = grid_elimination_unit(
+        grid_to_json(abstract_grid((1, 2), (1, 2))), 2, budget
+    )
+    # the pattern-ideal instance first, then one per t
+    oracle = instances[1:]
     assert [(inst.computed, inst.flag) for inst in oracle] == [
         ("equal", None),
         (

@@ -2,10 +2,12 @@
 
 Two oracles that share no code with the closed-form layer: vanishing orders
 via exact Taylor expansion at a point, and fat-point Hilbert functions via
-ranks of derivative-condition matrices (fraction-free elimination).  On top
-of them, checkers replay the power-product statements for points in the
-several coordinate strata, and one plan of independent units runs the
-grid-level cross-checks for both the library and the CLI.
+ranks of derivative-condition matrices.  Those ranks come from elimination
+mod a prime, made exact over Q by kernel vectors lifted to integers and
+checked against the matrix.  On top of them, checkers replay the
+power-product statements for points in the several coordinate strata, and
+one plan of independent units runs the grid-level cross-checks for both the
+library and the CLI.
 """
 from __future__ import annotations
 
@@ -100,13 +102,233 @@ def vanishing_order(f: Polynomial, p) -> int | float:
     return min(sum(e) for e in current)
 
 
+# Primes just below 2**62, in the order the modular elimination tries them.
+_PRIMES = tuple(2**62 - k for k in (57, 87, 117, 143, 153, 167, 171, 195))
+
+
+def _pack(entries, size: int) -> int:
+    """Non-negative entries as one int, the first in the most significant
+    slot of ``size`` bytes."""
+    return int.from_bytes(b"".join(x.to_bytes(size, "big") for x in entries), "big")
+
+
+def _unpack(value: int, count: int, size: int) -> list[int]:
+    data = value.to_bytes(count * size, "big")
+    return [
+        int.from_bytes(data[i : i + size], "big")
+        for i in range(0, count * size, size)
+    ]
+
+
+def _echelon_mod(matrix, width: int, p: int):
+    """Forward elimination mod p of the first ``width`` columns.
+
+    Each row is one int with one slot per column, column 0 in the most
+    significant slot, so a row update is one multiply-add and a row cleared
+    through column c fits in the slots after c.  An entry is reduced mod p
+    only when it is read.  A pivot row is reduced and scaled to a leading 1
+    when it is found, so an update adds less than p**2 to a slot.  A row
+    takes at most one update per pivot, and the slot width leaves room for
+    all of them; the back substitution in ``_kernel_mod`` stays within the
+    same bound.
+
+    Returns the pivot columns, each pivot row's slots after its pivot
+    column, and the slot size in bytes.
+    """
+    bound = p + min(len(matrix), width) * (p - 1) ** 2
+    size = (bound.bit_length() + 7) // 8
+    bits = 8 * size
+    slot = (1 << bits) - 1
+    active = [_pack([x % p for x in row[:width]], size) for row in matrix]
+    pivots: list[int] = []
+    tails: list[int] = []
+    for col in range(width):
+        if not active:
+            break
+        shift = (width - 1 - col) * bits
+        low = (1 << shift) - 1
+        entries = [((row >> shift) & slot) % p for row in active]
+        lead = next((k for k, e in enumerate(entries) if e), None)
+        if lead is None:
+            continue
+        inverse = pow(entries[lead], -1, p)
+        count = width - 1 - col
+        tail = _pack(
+            [x * inverse % p for x in _unpack(active[lead] & low, count, size)], size
+        )
+        del active[lead], entries[lead]
+        active = [
+            (row & low) + (p - e) * tail if e else row
+            for row, e in zip(active, entries)
+        ]
+        pivots.append(col)
+        tails.append(tail)
+    return pivots, tails, size
+
+
+def _kernel_mod(pivots, tails, size: int, width: int, needed, p: int):
+    """For each column j in ``needed`` (non-pivot columns, increasing), the
+    kernel vector mod p with a 1 at j and its other entries on the pivot
+    columns before j, listed in pivot order.
+
+    Back substitution for all needed columns at once: the entries of every
+    vector on one pivot column are packed into one int, one slot per
+    vector.  Pivot row r gives them as minus its entry in column j, minus
+    its multiples of the entries on the later pivot columns.
+    """
+    limit = needed[-1] + 1
+    cols = [c for c in pivots if c < limit]
+    shift = (width - limit) * 8 * size
+    solved = [0] * len(cols)
+    for r in range(len(cols) - 1, -1, -1):
+        c = cols[r]
+        # minus the pivot row's entries on columns c+1 .. limit-1
+        minus = [-x % p for x in _unpack(tails[r] >> shift, limit - 1 - c, size)]
+        packed = sum(
+            (minus[cols[k] - c - 1] * solved[k] for k in range(r + 1, len(cols))),
+            _pack([minus[j - c - 1] if j > c else 0 for j in needed], size),
+        )
+        solved[r] = _pack([x % p for x in _unpack(packed, len(needed), size)], size)
+    entries = [_unpack(x, len(needed), size) for x in solved]
+    return [
+        [column[t] for c, column in zip(cols, entries) if c < j]
+        for t, j in enumerate(needed)
+    ]
+
+
+def _rational_vector(residues, modulus: int, bound: int):
+    """Integers (den, nums) with den*residue = num mod ``modulus`` for each
+    residue, found entry by entry by rational reconstruction with a running
+    common denominator; None once the denominator passes ``bound``."""
+    den = 1
+    nums: list[int] = []
+    for x in residues:
+        y = x * den % modulus
+        if y <= bound:
+            nums.append(y)
+            continue
+        if modulus - y <= bound:
+            nums.append(y - modulus)
+            continue
+        r0, r1, t0, t1 = modulus, y, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        den *= abs(t1)
+        if den > bound:
+            return None
+        nums = [n * abs(t1) for n in nums]
+        nums.append(r1 if t1 > 0 else -r1)
+    return den, nums
+
+
+def _drop_certified(matrix, pivots, pending: dict, modulus: int) -> None:
+    """Remove from ``pending`` each column j whose residue vector (a kernel
+    vector mod ``modulus`` with a 1 at j and entries on the pivot columns
+    before j) lifts to an integer vector w with w[j] > 0 and matrix*w = 0.
+
+    The check packs each column of the matrix into one int, one signed slot
+    per row, wide enough that a combination of columns is zero as an int
+    only if it is zero in every row.
+    """
+    bound = math.isqrt(modulus // 2)
+    lifted = {}
+    for j, residues in pending.items():
+        vector = _rational_vector(residues, modulus, bound)
+        if vector is not None:
+            lifted[j] = vector
+    if not lifted:
+        return
+    limit = max(lifted) + 1
+    entry_bits = max(abs(x) for row in matrix for x in row[:limit]).bit_length()
+    vector_bits = max(
+        max([den, *map(abs, nums)]) for den, nums in lifted.values()
+    ).bit_length()
+    size = (entry_bits + vector_bits + limit.bit_length() + 8) // 8
+    half = 1 << (8 * size - 1)
+    offset = int.from_bytes(half.to_bytes(size, "big") * len(matrix), "big")
+    columns = [
+        int.from_bytes(
+            b"".join((row[k] + half).to_bytes(size, "big") for row in matrix),
+            "big",
+        )
+        - offset
+        for k in range(limit)
+    ]
+    for j, (den, nums) in lifted.items():
+        combination = sum(n * columns[c] for n, c in zip(nums, pivots))
+        if den * columns[j] + combination == 0:
+            del pending[j]
+
+
 def pivot_columns(matrix) -> list[int]:
-    """Pivot columns, in increasing order, of an integer matrix under
-    fraction-free (Bareiss) elimination.
+    """Pivot columns, in increasing order, of an integer matrix: the columns
+    where the rank over Q of the leading block of columns goes up.
 
     The number of pivots among the first k columns is the rank of those k
     columns, so one elimination gives the rank of every leading block.
+
+    The elimination runs mod a prime p, and no leading block has a larger
+    rank mod p than over Q.  So a block whose pivots mod p give it full
+    column rank, or full row rank, is exact as it stands.  Every other
+    block is made exact by a certificate.  For each non-pivot column j
+    that such a block contains, the kernel vector mod p with a 1 at j and
+    its other entries on the pivot columns before j is lifted to Q, by
+    Chinese remaindering over further primes and rational reconstruction
+    (Wang, Guy and Davenport 1982), and A*v = 0 is checked in integers.
+    These vectors are independent, so each block's nullity over Q is at
+    least its nullity mod p, and the two ranks agree.  A prime that shows a
+    smaller rank than another on some leading block is dropped; if the
+    primes run out, a fraction-free (Bareiss) elimination decides.
     """
+    rows = len(matrix)
+    width = len(matrix[0]) if rows else 0
+    if not width:
+        return []
+    k = 0
+    while True:
+        p = _PRIMES[k]
+        k += 1
+        pivots, tails, size = _echelon_mod(matrix, width, p)
+        is_pivot = set(pivots)
+        # past the last pivot, full row rank mod p is already exact
+        end = pivots[-1] if len(pivots) == rows else width
+        needed = [j for j in range(end) if j not in is_pivot]
+        if not needed:
+            return pivots
+        limit = needed[-1] + 1
+        base = [c for c in pivots if c < limit]
+        kernel = _kernel_mod(pivots, tails, size, width, needed, p)
+        pending = dict(zip(needed, kernel))
+        modulus = p
+        _drop_certified(matrix, base, pending, modulus)
+        while pending:
+            if k == len(_PRIMES):
+                return _bareiss_pivot_columns(matrix)
+            q = _PRIMES[k]
+            k += 1
+            q_pivots, q_tails, q_size = _echelon_mod(matrix, limit, q)
+            if q_pivots + [width] < base + [width]:
+                # p has a smaller rank than q on a leading block: restart at q
+                k -= 1
+                break
+            if q_pivots == base:
+                kernel = _kernel_mod(base, q_tails, q_size, limit, list(pending), q)
+                inverse = pow(modulus, -1, q)
+                for (j, old), new in zip(list(pending.items()), kernel):
+                    pending[j] = [
+                        x + modulus * ((y - x) * inverse % q)
+                        for x, y in zip(old, new)
+                    ]
+                modulus *= q
+                _drop_certified(matrix, base, pending, modulus)
+        else:
+            return pivots
+
+
+def _bareiss_pivot_columns(matrix) -> list[int]:
+    """Pivot columns by fraction-free (Bareiss) elimination over the integers."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     a = [list(row) for row in matrix]
@@ -146,7 +368,8 @@ def pivot_columns(matrix) -> list[int]:
 
 
 def exact_rank(matrix, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    """Rank over Q of an integer matrix: the number of its pivot columns,
+    found mod a prime and certified exact (see ``pivot_columns``)."""
     rows = len(matrix)
     budget.check_matrix(rows, len(matrix[0]) if rows else 0)
     return len(pivot_columns(matrix))
@@ -630,8 +853,9 @@ def grid_hilbert_unit(grid_json: dict, budget: Budget) -> list[CheckInstance]:
 
 
 def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
-    """The grid checks as independent (unit, args) jobs, the longest (the
-    rank oracle) first so that a process pool starts it first.
+    """The grid checks as independent (unit, args) jobs, longest first so
+    that a process pool starts them in that order: the elimination oracle,
+    the rank oracle, the structure checks.
 
     The grid cap and the certificate depth are checked here, before any
     unit runs.  Units take the grid as JSON, so the jobs pickle.
@@ -640,8 +864,8 @@ def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
     t_max = certificate_depth(t_max)
     grid_json = grid_to_json(g)
     return [
-        (grid_hilbert_unit, (grid_json, budget)),
         (grid_elimination_unit, (grid_json, t_max, budget)),
+        (grid_hilbert_unit, (grid_json, budget)),
         (grid_structure_unit, (grid_json,)),
     ]
 
@@ -651,7 +875,7 @@ def grid_report(g: FatGrid, t_max: int, results) -> VerificationReport:
     pattern ideal, Hilbert function by degree, for each t the three
     combinatorial resurgence instances followed by the elimination oracle's,
     and the initial degree."""
-    hilbert, elimination, structure = results
+    elimination, hilbert, structure = results
     certificate = resurgence_certificate(g, t_max).instances
     resurgence = []
     for t, oracle in enumerate(elimination[1:]):

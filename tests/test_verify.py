@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hfg.verify
 from hfg.budget import DEFAULT_BUDGET
@@ -84,6 +86,125 @@ def test_pivot_columns_of_a_small_matrix():
         block = [row[:k] for row in matrix]
         assert exact_rank(block) == sum(1 for c in [1, 3] if c < k)
     assert pivot_columns([]) == []
+
+
+def _reference_pivot_columns(matrix):
+    """Pivot columns by row echelon form over Q with Fractions."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        lead = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if lead is None:
+            continue
+        rows[r], rows[lead] = rows[lead], rows[r]
+        for i in range(r + 1, len(rows)):
+            factor = rows[i][col] / rows[r][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
+def _primes_used(monkeypatch):
+    """Record the prime of every modular elimination pivot_columns runs."""
+    primes = []
+    echelon = hfg.verify._echelon_mod
+
+    def recorded(matrix, width, p):
+        primes.append(p)
+        return echelon(matrix, width, p)
+
+    monkeypatch.setattr(hfg.verify, "_echelon_mod", recorded)
+    return primes
+
+
+_P = hfg.verify._PRIMES[0]
+
+
+@pytest.mark.parametrize(
+    "matrix, pivots",
+    [
+        ([[_P, 0], [0, 1]], [0, 1]),
+        ([[1, 1], [1, 1 + _P]], [0, 1]),
+        # the leading 3x3 minor is p, so column 2 is a pivot only over Q
+        ([[2, 1, 3, 1], [1, 1, 1, 0], [1, 0, 2 + _P, 5]], [0, 1, 2]),
+    ],
+)
+def test_rank_that_drops_mod_the_first_prime_is_exact(monkeypatch, matrix, pivots):
+    assert hfg.verify._echelon_mod(matrix, len(matrix[0]), _P)[0] != pivots
+    primes = _primes_used(monkeypatch)
+    assert pivot_columns(matrix) == pivots == _reference_pivot_columns(matrix)
+    assert exact_rank(matrix) == len(pivots)
+    assert primes[0] == _P and len(set(primes)) > 1
+
+
+@pytest.mark.parametrize("bits, primes", [(40, 2), (70, 3), (100, 4)])
+def test_kernel_lifted_over_several_primes(monkeypatch, bits, primes):
+    # k primes reconstruct numerators and denominators up to about 2**(31k),
+    # and the kernel vector here is (-b/a, 1)
+    a, b = 2**bits + 1, 2**bits - 1
+    matrix = [[a, b], [2 * a, 2 * b], [5 * a, 5 * b]]
+    used = _primes_used(monkeypatch)
+    assert pivot_columns(matrix) == [0]
+    assert used == list(hfg.verify._PRIMES[:primes])
+
+
+def test_bareiss_decides_when_the_primes_run_out(monkeypatch):
+    calls = []
+    bareiss = hfg.verify._bareiss_pivot_columns
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return bareiss(matrix)
+
+    monkeypatch.setattr(hfg.verify, "_bareiss_pivot_columns", counted)
+    # every listed prime divides the only entry
+    assert pivot_columns([[math.prod(hfg.verify._PRIMES)], [0]]) == [0]
+    assert calls == [2]
+    # one prime cannot see the first pivot, nor lift a 40-bit kernel
+    monkeypatch.setattr(hfg.verify, "_PRIMES", (_P,))
+    a, b = 2**40 + 1, 3**40
+    for matrix in ([[_P, 0], [0, 1]], [[a, b], [2 * a, 2 * b]]):
+        assert pivot_columns(matrix) == bareiss(matrix)
+        assert pivot_columns(matrix) == _reference_pivot_columns(matrix)
+    assert calls == [2, 2, 2, 2, 2]
+
+
+def _low_rank_matrices():
+    """Products of random integer factors, some entries multiples of the
+    first prime, so the rank mod that prime can drop."""
+    entries = st.one_of(
+        st.integers(-3, 3), st.sampled_from([_P, -_P, 2 * _P, _P + 1])
+    )
+
+    def factors(shape):
+        rows, inner, cols = shape
+        return st.tuples(
+            st.lists(
+                st.lists(entries, min_size=inner, max_size=inner),
+                min_size=rows,
+                max_size=rows,
+            ),
+            st.lists(
+                st.lists(entries, min_size=cols, max_size=cols),
+                min_size=inner,
+                max_size=inner,
+            ),
+        )
+
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 7))
+    return shapes.flatmap(factors).map(
+        lambda bc: [
+            [sum(x * y for x, y in zip(row, col)) for col in zip(*bc[1])]
+            for row in bc[0]
+        ]
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_low_rank_matrices())
+def test_pivot_columns_match_the_fraction_reference(matrix):
+    assert pivot_columns(matrix) == _reference_pivot_columns(matrix)
 
 
 def _reference_hilbert(g, d):
@@ -227,6 +348,14 @@ def test_hilbert_oracle_single_point():
 def test_hilbert_oracle_example_initial_degrees(example_grid, example_budget):
     assert hilbert_function_oracle(example_grid, 15, example_budget) == 0
     assert hilbert_function_oracle(example_grid, 16, example_budget) == 2
+
+
+def test_hilbert_series_of_the_example(example_grid, example_budget):
+    # recorded with fraction-free (Bareiss) elimination; degrees 16-20 are
+    # the ones whose ranks need the kernel certificate
+    assert hilbert_series_oracle(example_grid, 23, example_budget) == [0] * 16 + [
+        2, 8, 19, 34, 52, 73, 96, 120
+    ]
 
 
 def test_point_power_product_off_the_coordinate_lines():

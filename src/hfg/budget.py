@@ -17,8 +17,8 @@ class Budget:
     # cap on the total multiplicity sum(m_ij) of a grid handed to the
     # intersection oracle
     max_grid_multiplicity: int = 24
-    # caps on direct Groebner inputs inside verification checks
-    max_groebner_vars: int = 9
+    # cap on the total degree of direct Groebner inputs inside verification
+    # checks
     max_groebner_degree: int = 12
     # cap on either dimension of an exact rank computation
     max_matrix_dim: int = 2000
@@ -30,12 +30,7 @@ class Budget:
                 f"{self.max_grid_multiplicity}; raise it with --budget-degree"
             )
 
-    def check_groebner(self, nvars: int, max_degree: int) -> None:
-        if nvars > self.max_groebner_vars:
-            raise BudgetExceededError(
-                f"Groebner input has {nvars} variables, budget allows "
-                f"{self.max_groebner_vars}"
-            )
+    def check_groebner(self, max_degree: int) -> None:
         if max_degree > self.max_groebner_degree:
             raise BudgetExceededError(
                 f"Groebner input of total degree {max_degree} exceeds budget "

@@ -182,11 +182,6 @@ def _patterns(M, N) -> list[GeneratorPattern]:
     ]
 
 
-def _pattern_bounds(g: FatGrid) -> tuple[list[int], list[int]]:
-    """Unclipped exponent bounds of the grid's generator patterns."""
-    return _bounds(g.row_multiplicities, g.col_multiplicities)
-
-
 def generator_patterns(g: FatGrid) -> list[GeneratorPattern]:
     """The m_r + n_s minimal-generator patterns of the grid ideal."""
     return _patterns(g.row_multiplicities, g.col_multiplicities)
@@ -264,7 +259,7 @@ def resurgence_certificate(g: FatGrid, t_max: int) -> VerificationReport:
         subject="resurgence certificate (rho = 1) up to t = %d" % t_max
     )
     base_patterns = generator_patterns(g)
-    a, b = _pattern_bounds(g)
+    a, b = _bounds(g.row_multiplicities, g.col_multiplicities)
     for t in range(1, t_max + 1):
         # the symbolic grid's patterns depend on its multiplicities alone
         mt, nt = symbolic_multiplicities(g, t)

@@ -138,14 +138,6 @@ class Polynomial:
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient(order)
-        if lc == 1:
-            return self
-        return self / lc
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_block(self, other: "Polynomial") -> None:

@@ -2,12 +2,12 @@
 
 Two oracles that share no code with the closed-form layer: vanishing orders
 via exact Taylor expansion at a point, and fat-point Hilbert functions via
-ranks of derivative-condition matrices.  Those ranks come from elimination
-mod a prime, made exact over Q by kernel vectors lifted to integers and
-checked against the matrix.  On top of them, checkers replay the
-power-product statements for points in the several coordinate strata, and
-one plan of independent units runs the grid-level cross-checks for both the
-library and the CLI.
+ranks of derivative-condition matrices.  Those ranks have one route:
+elimination mod primes drawn, largest first, from the primes below 2**62,
+made exact over Q by kernel vectors lifted to integers and checked against
+the matrix.  On top of them, checkers replay the power-product statements
+for points in the several coordinate strata, and one plan of independent
+units runs the grid-level cross-checks for both the library and the CLI.
 """
 from __future__ import annotations
 
@@ -102,8 +102,38 @@ def vanishing_order(f: Polynomial, p) -> int | float:
     return min(sum(e) for e in current)
 
 
-# Primes just below 2**62, in the order the modular elimination tries them.
-_PRIMES = tuple(2**62 - k for k in (57, 87, 117, 143, 153, 167, 171, 195))
+# Miller-Rabin with these bases is exact for every n < 3.3 * 10**24
+# (Sorenson and Webster 2015).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < 3.3 * 10**24."""
+    if n < 2:
+        return False
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2**62, largest first: the moduli the modular
+    elimination tries, in order."""
+    yield from filter(_is_prime, range(2**62 - 1, 2, -2))
 
 
 def _pack(entries, size: int) -> int:
@@ -278,93 +308,53 @@ def pivot_columns(matrix) -> list[int]:
     Chinese remaindering over further primes and rational reconstruction
     (Wang, Guy and Davenport 1982), and A*v = 0 is checked in integers.
     These vectors are independent, so each block's nullity over Q is at
-    least its nullity mod p, and the two ranks agree.  A prime that shows a
-    smaller rank than another on some leading block is dropped; if the
-    primes run out, a fraction-free (Bareiss) elimination decides.
+    least its nullity mod p, and the two ranks agree.
+
+    The primes come from ``_primes``, largest first.  Each further prime
+    eliminates only the columns through the last one whose certificate is
+    still pending.  If its pivots there agree with p's, its kernel vectors
+    join the Chinese remaindering; if they show less rank on a leading
+    block, it is skipped; if they show more, p was unlucky and everything
+    restarts at the new prime.  Only finitely many primes divide a nonzero
+    minor or a kernel denominator, so the loop ends with no other route.
     """
     rows = len(matrix)
     width = len(matrix[0]) if rows else 0
     if not width:
         return []
-    k = 0
-    while True:
-        p = _PRIMES[k]
-        k += 1
-        pivots, tails, size = _echelon_mod(matrix, width, p)
-        is_pivot = set(pivots)
-        # past the last pivot, full row rank mod p is already exact
-        end = pivots[-1] if len(pivots) == rows else width
-        needed = [j for j in range(end) if j not in is_pivot]
-        if not needed:
-            return pivots
-        limit = needed[-1] + 1
-        base = [c for c in pivots if c < limit]
-        kernel = _kernel_mod(pivots, tails, size, width, needed, p)
-        pending = dict(zip(needed, kernel))
-        modulus = p
-        _drop_certified(matrix, base, pending, modulus)
-        while pending:
-            if k == len(_PRIMES):
-                return _bareiss_pivot_columns(matrix)
-            q = _PRIMES[k]
-            k += 1
-            q_pivots, q_tails, q_size = _echelon_mod(matrix, limit, q)
-            if q_pivots + [width] < base + [width]:
-                # p has a smaller rank than q on a leading block: restart at q
-                k -= 1
-                break
-            if q_pivots == base:
-                kernel = _kernel_mod(base, q_tails, q_size, limit, list(pending), q)
-                inverse = pow(modulus, -1, q)
-                for (j, old), new in zip(list(pending.items()), kernel):
-                    pending[j] = [
-                        x + modulus * ((y - x) * inverse % q)
-                        for x, y in zip(old, new)
-                    ]
-                modulus *= q
-                _drop_certified(matrix, base, pending, modulus)
-        else:
-            return pivots
-
-
-def _bareiss_pivot_columns(matrix) -> list[int]:
-    """Pivot columns by fraction-free (Bareiss) elimination over the integers."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    a = [list(row) for row in matrix]
-    prev = 1
-    pivots: list[int] = []
-    row_at = 0
-    for col in range(cols):
-        if row_at == rows:
-            break
-        pivot = None
-        for r in range(row_at, rows):
-            if a[r][col] and (
-                pivot is None or abs(a[r][col]) < abs(a[pivot][col])
-            ):
-                pivot = r
-        if pivot is None:
-            continue
-        if pivot != row_at:
-            a[pivot], a[row_at] = a[row_at], a[pivot]
-        lead = a[row_at]
-        p = lead[col]
-        tail = lead[col + 1 :]
-        for r in range(row_at + 1, rows):
-            cur = a[r]
-            factor = cur[col]
-            if factor:
-                cur[col + 1 :] = [
-                    (p * x - factor * y) // prev
-                    for x, y in zip(cur[col + 1 :], tail)
+    pending: dict[int, list[int]] = {}
+    for p in _primes():
+        if pending:
+            limit = max(pending) + 1
+            p_pivots, tails, size = _echelon_mod(matrix, limit, p)
+            base = pivots[: bisect.bisect_left(pivots, limit)]
+            if p_pivots + [width] > base + [width]:
+                # p shows less rank on a leading block: skip it
+                continue
+        if pending and p_pivots == base:
+            kernel = _kernel_mod(base, tails, size, limit, list(pending), p)
+            inverse = pow(modulus, -1, p)
+            for (j, old), new in zip(list(pending.items()), kernel):
+                pending[j] = [
+                    x + modulus * ((y - x) * inverse % p) for x, y in zip(old, new)
                 ]
-            else:
-                cur[col + 1 :] = [p * x // prev for x in cur[col + 1 :]]
-        prev = p
-        pivots.append(col)
-        row_at += 1
-    return pivots
+            modulus *= p
+        else:
+            # the first prime, or one that shows more rank on a leading
+            # block than the pivots so far: (re)start at it
+            pivots, tails, size = _echelon_mod(matrix, width, p)
+            is_pivot = set(pivots)
+            # past the last pivot, full row rank mod p is already exact
+            end = pivots[-1] if len(pivots) == rows else width
+            needed = [j for j in range(end) if j not in is_pivot]
+            if not needed:
+                return pivots
+            kernel = _kernel_mod(pivots, tails, size, width, needed, p)
+            pending = dict(zip(needed, kernel))
+            modulus = p
+        _drop_certified(matrix, pivots, pending, modulus)
+        if not pending:
+            return pivots
 
 
 def exact_rank(matrix, budget: Budget = DEFAULT_BUDGET) -> int:
@@ -442,20 +432,6 @@ def hilbert_function_oracle(
     return hilbert_series_oracle(g, d, budget)[d]
 
 
-def _monomial_power_ideal(pairs) -> IdealPresentation:
-    """Ideal generated by pure powers x_z^e for the given (index, exponent) pairs."""
-    gens = []
-    for index, exponent in pairs:
-        exps = [0, 0, 0]
-        exps[index] = exponent
-        gens.append(Polynomial.monomial(PLANE, tuple(exps)))
-    return IdealPresentation(PLANE, gens)
-
-
-def _zero_indices(p: Point) -> list[int]:
-    return [i for i, c in enumerate(p) if c == 0]
-
-
 def _variable_power(index: int, exponent: int) -> Polynomial:
     exps = [0, 0, 0]
     exps[index] = exponent
@@ -481,7 +457,7 @@ def check_point_power_product(
             "Hadamard product of %s and %s is undefined"
             % (P.to_string(), Q.to_string())
         )
-    budget.check_groebner(9, max(m, n))
+    budget.check_groebner(max(m, n))
 
     result = hadamard_ideals(
         ideal_power(point_ideal(P), m), ideal_power(point_ideal(Q), n)
@@ -550,7 +526,7 @@ def check_point_power_product(
                 equal,
             )
         else:
-            z = _zero_indices(Q)[0]
+            z = Q.zero_support()[0]
             witness = _variable_power(z, n)
             in_result = result.contains(witness)
             report.add(
@@ -576,10 +552,12 @@ def check_point_power_product(
                 contains,
             )
     elif dP == 1 and dQ == 1:
-        zp, zq = _zero_indices(P)[0], _zero_indices(Q)[0]
+        zp, zq = P.zero_support()[0], Q.zero_support()[0]
         low = ideal_power(point_ideal(pq), min(m, n))
         if zp != zq:
-            expected = _monomial_power_ideal([(zp, m), (zq, n)])
+            expected = IdealPresentation(
+                PLANE, [_variable_power(zp, m), _variable_power(zq, n)]
+            )
             equal = ideal_equal(result, expected)
             report.add(
                 "both points on distinct coordinate lines: product is the"
@@ -646,7 +624,7 @@ def check_lemma_irrelevant(
     t = int(t)
     if t < 1:
         raise DomainError("power must be a positive integer")
-    budget.check_groebner(9, t)
+    budget.check_groebner(t)
     d = delta_index(P)
     power = irrelevant_power(t)
     result = hadamard_ideals(point_ideal(P), power)
@@ -657,7 +635,7 @@ def check_lemma_irrelevant(
         expected = power
         label = "point off the coordinate triangle: product equals the power"
     elif d == 1:
-        z = _zero_indices(P)[0]
+        z = P.zero_support()[0]
         pair_power = [
             Polynomial.monomial(PLANE, e)
             for e in monomials_of_degree(PLANE, t)
@@ -671,7 +649,7 @@ def check_lemma_irrelevant(
             " power of the other two variables" % z
         )
     else:
-        z1, z2 = _zero_indices(P)
+        z1, z2 = P.zero_support()
         w = [i for i in range(3) if i not in (z1, z2)][0]
         expected = IdealPresentation(
             PLANE,
@@ -717,7 +695,7 @@ def check_join_symbolic(
     t = int(t)
     if t < 1:
         raise DomainError("power must be a positive integer")
-    budget.check_groebner(9, t)
+    budget.check_groebner(t)
     ideal = point_ideal(P)
     joined = join_ideals(ideal, irrelevant_power(t))
     expected = ideal_power(ideal, t)
@@ -797,7 +775,7 @@ def grid_elimination_unit(
             # the t-th symbolic grid's total multiplicity
             budget.check_grid(t * g.total_multiplicity)
             # the top degree of the t-th power, known before building it
-            budget.check_groebner(3, t * oracle.max_generator_degree())
+            budget.check_groebner(t * oracle.max_generator_degree())
             power = ideal_power(oracle, t)
             # the first symbolic grid is g itself
             sym_oracle = (

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -118,7 +119,25 @@ def _primes_used(monkeypatch):
     return primes
 
 
-_P = hfg.verify._PRIMES[0]
+def _first_primes(count):
+    return list(itertools.islice(hfg.verify._primes(), count))
+
+
+_P = _first_primes(1)[0]
+
+
+def test_prime_stream_starts_with_the_primes_just_below_2_62():
+    assert _first_primes(8) == [
+        2**62 - k for k in (57, 87, 117, 143, 153, 167, 171, 195)
+    ]
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(20000):
+        trial = n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert hfg.verify._is_prime(n) == trial, n
+    # a strong pseudoprime to every prime base up to 23
+    assert not hfg.verify._is_prime(3825123056546413051)
 
 
 @pytest.mark.parametrize(
@@ -146,28 +165,18 @@ def test_kernel_lifted_over_several_primes(monkeypatch, bits, primes):
     matrix = [[a, b], [2 * a, 2 * b], [5 * a, 5 * b]]
     used = _primes_used(monkeypatch)
     assert pivot_columns(matrix) == [0]
-    assert used == list(hfg.verify._PRIMES[:primes])
+    assert used == _first_primes(primes)
 
 
-def test_bareiss_decides_when_the_primes_run_out(monkeypatch):
-    calls = []
-    bareiss = hfg.verify._bareiss_pivot_columns
-
-    def counted(matrix):
-        calls.append(len(matrix))
-        return bareiss(matrix)
-
-    monkeypatch.setattr(hfg.verify, "_bareiss_pivot_columns", counted)
-    # every listed prime divides the only entry
-    assert pivot_columns([[math.prod(hfg.verify._PRIMES)], [0]]) == [0]
-    assert calls == [2]
-    # one prime cannot see the first pivot, nor lift a 40-bit kernel
-    monkeypatch.setattr(hfg.verify, "_PRIMES", (_P,))
-    a, b = 2**40 + 1, 3**40
-    for matrix in ([[_P, 0], [0, 1]], [[a, b], [2 * a, 2 * b]]):
-        assert pivot_columns(matrix) == bareiss(matrix)
-        assert pivot_columns(matrix) == _reference_pivot_columns(matrix)
-    assert calls == [2, 2, 2, 2, 2]
+def test_pivot_found_by_the_first_prime_that_does_not_divide_it(monkeypatch):
+    # each of the first eight primes divides the only entry, so each sees a
+    # zero column whose kernel vector fails the integer check; the ninth
+    # shows the pivot and the elimination restarts at it
+    primes = _first_primes(9)
+    used = _primes_used(monkeypatch)
+    matrix = [[math.prod(primes[:8])], [0]]
+    assert pivot_columns(matrix) == [0] == _reference_pivot_columns(matrix)
+    assert used == primes + primes[-1:]
 
 
 def _low_rank_matrices():

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a verification ran and failed, 2 on input
-errors (malformed flags or files, invalid grids, exceeded budgets).  JSON
+errors (malformed flags or files, invalid grids, exceeded budgets).  Each
+is decided once: `_Group` turns a library error into exit 2, and
+`_emit_report` prints a report and exits 1 if it failed.  JSON
 output is deterministic: key order is fixed and list-valued data is sorted
 wherever the underlying object is a set.
 """
@@ -33,6 +35,7 @@ from .polycore import (
     join_ideals,
 )
 from .projective import Point
+from .report import VerificationReport
 from .verify import check_point_power_product, grid_check_plan, grid_report
 
 
@@ -64,34 +67,26 @@ def _parse_int_list(text: str, label: str) -> list[int]:
     return values
 
 
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ParseError("cannot read %s: %s" % (path, exc))
+    except json.JSONDecodeError as exc:
+        raise ParseError("%s is not valid JSON: %s" % (path, exc))
+
+
 def _load_grid(m: str | None, n: str | None, grid_path: str | None) -> FatGrid:
     if grid_path is not None and (m is not None or n is not None):
         raise click.UsageError("--grid conflicts with --m/--n")
     if grid_path is not None:
-        try:
-            with open(grid_path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise ParseError("cannot read %s: %s" % (grid_path, exc))
-        except json.JSONDecodeError as exc:
-            raise ParseError("%s is not valid JSON: %s" % (grid_path, exc))
-        return grid_from_json(data)
+        return grid_from_json(_read_json(grid_path))
     if m is None or n is None:
         raise click.UsageError("provide either --grid or both --m and --n")
     return abstract_grid(
         _parse_int_list(m, "--m"), _parse_int_list(n, "--n")
     )
-
-
-def _load_ideal(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise ParseError("%s is not valid JSON: %s" % (path, exc))
-    return ideal_from_json(data)
 
 
 def _budget_from_flag(budget_degree: int | None) -> Budget:
@@ -154,6 +149,18 @@ def _emit(data, output_format: str) -> None:
         click.echo(json.dumps(data, indent=2))
 
 
+def _emit_report(report: VerificationReport, output_format: str) -> None:
+    """Print a report; exit 1 if any of its instances failed."""
+    _emit(report.to_dict(), output_format)
+    if not report.passed:
+        click.echo(
+            "verification failed: %d of %d checks"
+            % (len(report.failures()), len(report.instances)),
+            err=True,
+        )
+        sys.exit(1)
+
+
 def _line_json(line) -> list[str]:
     return [format_rational(c) for c in line.coeffs]
 
@@ -177,12 +184,6 @@ _grid_options = (
         help="Grid description file (JSON).",
     ),
 )
-_budget_option = click.option(
-    "--budget-degree",
-    type=int,
-    default=None,
-    help="Override the total-multiplicity cap for oracle computations.",
-)
 
 
 def _with_grid_options(fn):
@@ -191,7 +192,17 @@ def _with_grid_options(fn):
     return fn
 
 
-@click.group()
+class _Group(click.Group):
+    """Every library error raised by a command exits 2 through `_fail`."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except HfgError as exc:
+            _fail(exc)
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="hfg")
 def main() -> None:
     """Exact invariants and verification for Hadamard fat grids."""
@@ -202,10 +213,7 @@ def main() -> None:
 @_format_option
 def grid_command(m, n, grid_path, output_format) -> None:
     """Build a grid and print its points, multiplicities and lines."""
-    try:
-        g = _load_grid(m, n, grid_path)
-    except HfgError as exc:
-        _fail(exc)
+    g = _load_grid(m, n, grid_path)
     r, s = g.shape
     payload = {
         "shape": [r, s],
@@ -247,11 +255,7 @@ def grid_command(m, n, grid_path, output_format) -> None:
 @_format_option
 def resolution_command(m, n, grid_path, output_format) -> None:
     """Print the twists of the minimal free resolution of the grid ideal."""
-    try:
-        g = _load_grid(m, n, grid_path)
-        shifts = resolution(g)
-    except HfgError as exc:
-        _fail(exc)
+    shifts = resolution(_load_grid(m, n, grid_path))
     _emit(
         {
             "generator_twists": list(shifts.generator_twists),
@@ -266,16 +270,12 @@ def resolution_command(m, n, grid_path, output_format) -> None:
 @_format_option
 def generators_command(m, n, grid_path, output_format) -> None:
     """List the minimal generators: line-power patterns and expanded forms."""
-    try:
-        g = _load_grid(m, n, grid_path)
-        patterns = generator_patterns(g)
-        payload = []
-        for pat in patterns:
-            entry = pat.to_dict()
-            entry["polynomial"] = expand_pattern(g, pat).to_string()
-            payload.append(entry)
-    except HfgError as exc:
-        _fail(exc)
+    g = _load_grid(m, n, grid_path)
+    payload = []
+    for pat in generator_patterns(g):
+        entry = pat.to_dict()
+        entry["polynomial"] = expand_pattern(g, pat).to_string()
+        payload.append(entry)
     _emit(payload, output_format)
 
 
@@ -291,12 +291,8 @@ def generators_command(m, n, grid_path, output_format) -> None:
 @_format_option
 def invariants_command(m, n, grid_path, t_max, output_format) -> None:
     """Print all closed-form invariants of the grid; no oracle runs."""
-    try:
-        g = _load_grid(m, n, grid_path)
-        payload = invariants_report(g, t_max=t_max)
-    except HfgError as exc:
-        _fail(exc)
-    _emit(payload, output_format)
+    g = _load_grid(m, n, grid_path)
+    _emit(invariants_report(g, t_max=t_max), output_format)
 
 
 def _run_verify_jobs(jobs, worker_count: int) -> list:
@@ -323,27 +319,22 @@ def _run_verify_jobs(jobs, worker_count: int) -> list:
     show_default=True,
     help="Worker processes for independent checks.",
 )
-@_budget_option
+@click.option(
+    "--budget-degree",
+    type=int,
+    default=None,
+    help="Override the total-multiplicity cap for oracle computations.",
+)
 @_format_option
 def verify_command(
     m, n, grid_path, t_max, jobs, budget_degree, output_format
 ) -> None:
     """Run every oracle check on a grid; exit 1 if any instance fails."""
-    try:
-        budget = _budget_from_flag(budget_degree)
-        g = _load_grid(m, n, grid_path)
-        plan = grid_check_plan(g, t_max, budget)
-        report = grid_report(g, t_max, _run_verify_jobs(plan, jobs))
-    except HfgError as exc:
-        _fail(exc)
-    _emit(report.to_dict(), output_format)
-    if not report.passed:
-        click.echo(
-            "verification failed: %d of %d checks"
-            % (len(report.failures()), len(report.instances)),
-            err=True,
-        )
-        sys.exit(1)
+    budget = _budget_from_flag(budget_degree)
+    g = _load_grid(m, n, grid_path)
+    plan = grid_check_plan(g, t_max, budget)
+    report = grid_report(g, t_max, _run_verify_jobs(plan, jobs))
+    _emit_report(report, output_format)
 
 
 def _binary_ideal_command(name: str, operation, help_text: str):
@@ -364,12 +355,9 @@ def _binary_ideal_command(name: str, operation, help_text: str):
     )
     @_format_option
     def command(path_a, path_b, output_format) -> None:
-        try:
-            a = _load_ideal(path_a)
-            b = _load_ideal(path_b)
-            result = operation(a, b)
-        except HfgError as exc:
-            _fail(exc)
+        a = ideal_from_json(_read_json(path_a))
+        b = ideal_from_json(_read_json(path_b))
+        result = operation(a, b)
         payload = ideal_to_json(result)
         if output_format == "table":
             _emit(
@@ -402,31 +390,13 @@ _binary_ideal_command(
 @click.option("--q", "q_text", required=True, help="Second point, q0:q1:q2.")
 @click.option("-m", "power_m", type=int, default=1, show_default=True, help="Power on the first point ideal.")
 @click.option("-n", "power_n", type=int, default=1, show_default=True, help="Power on the second point ideal.")
-@_budget_option
 @_format_option
-def power_check_command(
-    p_text, q_text, power_m, power_n, budget_degree, output_format
-) -> None:
+def power_check_command(p_text, q_text, power_m, power_n, output_format) -> None:
     """Compare a Hadamard power product against its stratum prediction."""
-    try:
-        budget = _budget_from_flag(budget_degree)
-        report = check_point_power_product(
-            Point.from_string(p_text),
-            Point.from_string(q_text),
-            power_m,
-            power_n,
-            budget,
-        )
-    except HfgError as exc:
-        _fail(exc)
-    _emit(report.to_dict(), output_format)
-    if not report.passed:
-        click.echo(
-            "verification failed: %d of %d checks"
-            % (len(report.failures()), len(report.instances)),
-            err=True,
-        )
-        sys.exit(1)
+    report = check_point_power_product(
+        Point.from_string(p_text), Point.from_string(q_text), power_m, power_n
+    )
+    _emit_report(report, output_format)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .fatgrid import (
     symbolic_multiplicities,
 )
 from .polycore import IdealPresentation
-from .report import VerificationReport
+from .report import CheckInstance, VerificationReport
 
 
 def _binom2(x: int) -> int:
@@ -207,7 +207,6 @@ def alpha_degree(g: FatGrid) -> int:
 def beta_degree(g: FatGrid) -> int:
     """Largest degree of a minimal generator."""
     M, N = g.row_multiplicities, g.col_multiplicities
-    r, s = g.shape
     return max(
         sum(M[-1] + n - 1 for n in N),
         sum(N[-1] + m - 1 for m in M),
@@ -255,9 +254,7 @@ def resurgence_certificate(g: FatGrid, t_max: int) -> VerificationReport:
     ideal-level equality is the elimination unit of ``hfg.verify``.
     """
     t_max = certificate_depth(t_max)
-    report = VerificationReport(
-        subject="resurgence certificate (rho = 1) up to t = %d" % t_max
-    )
+    checks = []
     base_patterns = generator_patterns(g)
     a, b = _bounds(g.row_multiplicities, g.col_multiplicities)
     for t in range(1, t_max + 1):
@@ -270,13 +267,6 @@ def resurgence_certificate(g: FatGrid, t_max: int) -> VerificationReport:
             and bt == [t * y for y in b]
             and len(sym_patterns) == t * (len(base_patterns) - 1) + 1
         )
-        report.add(
-            "t=%d: symbolic pattern family scales the base exponent bounds by t"
-            % t,
-            "a'=t*a, b'=t*b, %d patterns" % (t * (len(base_patterns) - 1) + 1),
-            "a'=%s, b'=%s, %d patterns" % (at, bt, len(sym_patterns)),
-            structural,
-        )
 
         mismatches: list[int] = []
         for pat in sym_patterns:
@@ -285,13 +275,6 @@ def resurgence_certificate(g: FatGrid, t_max: int) -> VerificationReport:
             v = tuple(sum(max(y + k, 0) for k in ks) for y in b)
             if h != pat.h_exponents or v != pat.v_exponents:
                 mismatches.append(pat.k)
-        report.add(
-            "t=%d: every symbolic pattern is the balanced t-fold product of"
-            " base patterns" % t,
-            "all %d patterns match" % len(sym_patterns),
-            "all match" if not mismatches else "mismatch at k=%s" % mismatches,
-            not mismatches,
-        )
 
         sym_by_k = {pat.k: pat for pat in sym_patterns}
         undominated = []
@@ -313,16 +296,34 @@ def resurgence_certificate(g: FatGrid, t_max: int) -> VerificationReport:
                 and all(x >= y for x, y in zip(v, target.v_exponents))
             ):
                 undominated.append(combo)
-        report.add(
-            "t=%d: every t-fold product of base patterns is divisible by a"
-            " symbolic generator" % t,
-            "all products dominate",
-            "all dominate"
-            if not undominated
-            else "failures at %s" % undominated[:3],
-            not undominated,
-        )
-    return report
+        checks += [
+            CheckInstance(
+                "t=%d: symbolic pattern family scales the base exponent bounds by t"
+                % t,
+                "a'=t*a, b'=t*b, %d patterns" % (t * (len(base_patterns) - 1) + 1),
+                "a'=%s, b'=%s, %d patterns" % (at, bt, len(sym_patterns)),
+                structural,
+            ),
+            CheckInstance(
+                "t=%d: every symbolic pattern is the balanced t-fold product of"
+                " base patterns" % t,
+                "all %d patterns match" % len(sym_patterns),
+                "all match" if not mismatches else "mismatch at k=%s" % mismatches,
+                not mismatches,
+            ),
+            CheckInstance(
+                "t=%d: every t-fold product of base patterns is divisible by a"
+                " symbolic generator" % t,
+                "all products dominate",
+                "all dominate"
+                if not undominated
+                else "failures at %s" % undominated[:3],
+                not undominated,
+            ),
+        ]
+    return VerificationReport(
+        "resurgence certificate (rho = 1) up to t = %d" % t_max, checks
+    )
 
 
 def invariants_report(g: FatGrid, t_max: int = 2) -> dict:

@@ -58,9 +58,6 @@ class IdealPresentation:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def is_homogeneous(self) -> bool:
-        return all(g.is_homogeneous() for g in self.generators)
-
     def max_generator_degree(self) -> int:
         return max((g.total_degree() for g in self.generators), default=-1)
 

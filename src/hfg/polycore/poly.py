@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from ..errors import BlockMismatchError, ParseError
 from .orders import GREVLEX, Exponents, MonomialOrder
@@ -183,11 +183,6 @@ class Polynomial:
         return Polynomial(self.block, terms)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Scalar) -> "Polynomial":
-        return Polynomial(
-            self.block, {e: c / Fraction(scalar) for e, c in self.terms.items()}
-        )
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:

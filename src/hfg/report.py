@@ -3,11 +3,13 @@
 A report is a flat list of named check instances.  `flag` carries notes that
 do not affect the verdict (for example a check that ran outside the scope of
 the statement it probes, or a sub-check skipped for budget reasons).
+
+`verdict` and `skipped` are the one encoding of a yes/no check and of a
+check that did not run; every such instance in `hfg` is built by them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -29,22 +31,28 @@ class CheckInstance:
         }
 
 
+def verdict(
+    label: str,
+    holds: bool,
+    yes: str = "equal",
+    no: str = "different",
+    flag: str | None = None,
+) -> CheckInstance:
+    """A yes/no check: `yes` is expected, and computed when `holds`."""
+    return CheckInstance(label, yes, yes if holds else no, holds, flag)
+
+
+def skipped(label: str, expected: str, reason) -> CheckInstance:
+    """A check that did not run; it does not fail the report."""
+    return CheckInstance(
+        label, expected, "not computed", True, "skipped: %s" % reason
+    )
+
+
 @dataclass
 class VerificationReport:
     subject: str
     instances: list[CheckInstance] = field(default_factory=list)
-
-    def add(
-        self,
-        label: str,
-        expected: str,
-        computed: str,
-        passed: bool,
-        flag: str | None = None,
-    ) -> CheckInstance:
-        inst = CheckInstance(label, expected, computed, passed, flag)
-        self.instances.append(inst)
-        return inst
 
     @property
     def passed(self) -> bool:
@@ -60,6 +68,3 @@ class VerificationReport:
             "checks": len(self.instances),
             "instances": [inst.to_dict() for inst in self.instances],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)

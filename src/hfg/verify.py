@@ -46,7 +46,7 @@ from .polycore import (
     monomials_of_degree,
 )
 from .projective import Point, delta_index, hadamard_point, point_ideal
-from .report import CheckInstance, VerificationReport
+from .report import CheckInstance, VerificationReport, skipped, verdict
 
 
 def vanishing_order(f: Polynomial, p) -> int | float:
@@ -457,7 +457,8 @@ def check_point_power_product(
             "Hadamard product of %s and %s is undefined"
             % (P.to_string(), Q.to_string())
         )
-    budget.check_groebner(max(m, n))
+    # I(P*Q)^(m+n-1) is the largest Groebner input built below
+    budget.check_groebner(m + n - 1)
 
     result = hadamard_ideals(
         ideal_power(point_ideal(P), m), ideal_power(point_ideal(Q), n)
@@ -468,149 +469,138 @@ def check_point_power_product(
         P, Q, m, n = Q, P, n, m
     dP, dQ = delta_index(P), delta_index(Q)
     target = ideal_power(point_ideal(pq), m + n - 1)
-    report = VerificationReport(
-        subject="power product: strata (%d,%d), powers (%d,%d)"
-        % (dP, dQ, m, n)
-    )
+    checks = []
+
+    def contains_target(flag=None):
+        return verdict(
+            "universal containment: product contains I(P*Q)^(m+n-1)",
+            result.contains_ideal(target),
+            "contains",
+            "misses",
+            flag,
+        )
 
     if m == 1 and n == 1:
-        equal = ideal_equal(result, point_ideal(pq))
-        report.add(
-            "unit powers: product ideal equals I(P*Q)",
-            "equal",
-            "equal" if equal else "different",
-            equal,
+        checks.append(
+            verdict(
+                "unit powers: product ideal equals I(P*Q)",
+                ideal_equal(result, point_ideal(pq)),
+            )
         )
 
     if dP == 2 and dQ == 2:
-        equal = ideal_equal(result, target)
-        report.add(
-            "points off the coordinate triangle: equality with I(P*Q)^(m+n-1)",
-            "equal",
-            "equal" if equal else "different",
-            equal,
+        checks.append(
+            verdict(
+                "points off the coordinate triangle: equality with"
+                " I(P*Q)^(m+n-1)",
+                ideal_equal(result, target),
+            )
         )
     elif dP == 2 and dQ == 0:
-        expected = ideal_power(point_ideal(Q), n)
-        equal = ideal_equal(result, expected)
-        report.add(
-            "one point off the triangle, the other a coordinate point:"
-            " product equals I(Q)^n",
-            "equal",
-            "equal" if equal else "different",
-            equal,
-            flag=(
-                None
-                if m == 1
-                else "m > 1 sits outside the stated scope; the computed"
-                " general form still predicts I(Q)^n"
-            ),
+        checks.append(
+            verdict(
+                "one point off the triangle, the other a coordinate point:"
+                " product equals I(Q)^n",
+                ideal_equal(result, ideal_power(point_ideal(Q), n)),
+                flag=(
+                    None
+                    if m == 1
+                    else "m > 1 sits outside the stated scope; the computed"
+                    " general form still predicts I(Q)^n"
+                ),
+            )
         )
         if m > 1:
-            different = not ideal_equal(result, target)
-            report.add(
-                "m > 1: product differs from I(P*Q)^(m+n-1)",
-                "different",
-                "different" if different else "equal",
-                different,
+            checks.append(
+                verdict(
+                    "m > 1: product differs from I(P*Q)^(m+n-1)",
+                    not ideal_equal(result, target),
+                    "different",
+                    "equal",
+                )
             )
     elif dP == 2 and dQ == 1:
         if m == 1:
-            expected = ideal_power(point_ideal(pq), n)
-            equal = ideal_equal(result, expected)
-            report.add(
-                "one point off the triangle, one on a coordinate line, m=1:"
-                " product equals I(P*Q)^n",
-                "equal",
-                "equal" if equal else "different",
-                equal,
+            checks.append(
+                verdict(
+                    "one point off the triangle, one on a coordinate line,"
+                    " m=1: product equals I(P*Q)^n",
+                    ideal_equal(result, ideal_power(point_ideal(pq), n)),
+                )
             )
         else:
-            z = Q.zero_support()[0]
-            witness = _variable_power(z, n)
-            in_result = result.contains(witness)
-            report.add(
-                "witness power of the vanishing coordinate lies in the product",
-                "member",
-                "member" if in_result else "missing",
-                in_result,
-                flag="m > 1 on this stratum has no closed form; witness,"
-                " inequality and containment checks only",
-            )
-            outside = not target.contains(witness)
-            report.add(
-                "witness power avoids I(P*Q)^(m+n-1), so equality fails",
-                "non-member",
-                "non-member" if outside else "member",
-                outside,
-            )
-            contains = result.contains_ideal(target)
-            report.add(
-                "universal containment: product contains I(P*Q)^(m+n-1)",
-                "contains",
-                "contains" if contains else "misses",
-                contains,
-            )
+            witness = _variable_power(Q.zero_support()[0], n)
+            checks += [
+                verdict(
+                    "witness power of the vanishing coordinate lies in the"
+                    " product",
+                    result.contains(witness),
+                    "member",
+                    "missing",
+                    flag="m > 1 on this stratum has no closed form; witness,"
+                    " inequality and containment checks only",
+                ),
+                verdict(
+                    "witness power avoids I(P*Q)^(m+n-1), so equality fails",
+                    not target.contains(witness),
+                    "non-member",
+                    "member",
+                ),
+                contains_target(),
+            ]
     elif dP == 1 and dQ == 1:
         zp, zq = P.zero_support()[0], Q.zero_support()[0]
-        low = ideal_power(point_ideal(pq), min(m, n))
         if zp != zq:
             expected = IdealPresentation(
                 PLANE, [_variable_power(zp, m), _variable_power(zq, n)]
             )
-            equal = ideal_equal(result, expected)
-            report.add(
-                "both points on distinct coordinate lines: product is the"
-                " pure-power ideal (x_%d^%d, x_%d^%d)" % (zp, m, zq, n),
-                "equal",
-                "equal" if equal else "different",
-                equal,
+            checks.append(
+                verdict(
+                    "both points on distinct coordinate lines: product is the"
+                    " pure-power ideal (x_%d^%d, x_%d^%d)" % (zp, m, zq, n),
+                    ideal_equal(result, expected),
+                )
             )
         else:
-            witness = _variable_power(zp, min(m, n))
-            in_result = result.contains(witness)
-            report.add(
-                "witness power of the shared vanishing coordinate lies in"
-                " the product",
-                "member",
-                "member" if in_result else "missing",
-                in_result,
-                flag="shared coordinate line: witness and containment"
-                " checks only",
+            checks.append(
+                verdict(
+                    "witness power of the shared vanishing coordinate lies in"
+                    " the product",
+                    result.contains(_variable_power(zp, min(m, n))),
+                    "member",
+                    "missing",
+                    flag="shared coordinate line: witness and containment"
+                    " checks only",
+                )
             )
-        contains_low = low.contains_ideal(result)
-        report.add(
-            "product is contained in I(P*Q)^min(m,n)",
-            "contained",
-            "contained" if contains_low else "escapes",
-            contains_low,
-        )
-        contains_high = result.contains_ideal(target)
-        report.add(
-            "universal containment: product contains I(P*Q)^(m+n-1)",
-            "contains",
-            "contains" if contains_high else "misses",
-            contains_high,
-        )
+        low = ideal_power(point_ideal(pq), min(m, n))
+        checks += [
+            verdict(
+                "product is contained in I(P*Q)^min(m,n)",
+                low.contains_ideal(result),
+                "contained",
+                "escapes",
+            ),
+            contains_target(),
+        ]
         if (m, n) != (1, 1):
-            different = not ideal_equal(result, target)
-            report.add(
-                "equality with I(P*Q)^(m+n-1) fails away from unit powers",
-                "different",
-                "different" if different else "equal",
-                different,
+            checks.append(
+                verdict(
+                    "equality with I(P*Q)^(m+n-1) fails away from unit powers",
+                    not ideal_equal(result, target),
+                    "different",
+                    "equal",
+                )
             )
     else:
-        contains = result.contains_ideal(target)
-        report.add(
-            "universal containment: product contains I(P*Q)^(m+n-1)",
-            "contains",
-            "contains" if contains else "misses",
-            contains,
-            flag="stratum outside the case statements; general containment"
-            " only",
+        checks.append(
+            contains_target(
+                "stratum outside the case statements; general containment only"
+            )
         )
-    return report
+    return VerificationReport(
+        "power product: strata (%d,%d), powers (%d,%d)" % (dP, dQ, m, n), checks
+    )
 
 
 def check_lemma_irrelevant(
@@ -628,9 +618,6 @@ def check_lemma_irrelevant(
     d = delta_index(P)
     power = irrelevant_power(t)
     result = hadamard_ideals(point_ideal(P), power)
-    report = VerificationReport(
-        subject="point ideal * irrelevant power, stratum %d, t=%d" % (d, t)
-    )
     if d == 2:
         expected = power
         label = "point off the coordinate triangle: product equals the power"
@@ -663,25 +650,28 @@ def check_lemma_irrelevant(
             "coordinate point: product is (x_%d, x_%d) plus x_%d^t"
             % (z1, z2, w)
         )
-    equal = ideal_equal(result, expected)
-    report.add(label, "equal", "equal" if equal else "different", equal)
+    checks = [verdict(label, ideal_equal(result, expected))]
     if d < 2:
-        contains = result.contains_ideal(power)
-        report.add(
-            "product contains the irrelevant power",
-            "contains",
-            "contains" if contains else "misses",
-            contains,
+        checks.append(
+            verdict(
+                "product contains the irrelevant power",
+                result.contains_ideal(power),
+                "contains",
+                "misses",
+            )
         )
         if t > 1:
-            strict = not ideal_equal(result, power)
-            report.add(
-                "containment is strict for t > 1",
-                "strict",
-                "strict" if strict else "equal",
-                strict,
+            checks.append(
+                verdict(
+                    "containment is strict for t > 1",
+                    not ideal_equal(result, power),
+                    "strict",
+                    "equal",
+                )
             )
-    return report
+    return VerificationReport(
+        "point ideal * irrelevant power, stratum %d, t=%d" % (d, t), checks
+    )
 
 
 def check_join_symbolic(
@@ -698,19 +688,16 @@ def check_join_symbolic(
     budget.check_groebner(t)
     ideal = point_ideal(P)
     joined = join_ideals(ideal, irrelevant_power(t))
-    expected = ideal_power(ideal, t)
-    equal = ideal_equal(joined, expected)
-    report = VerificationReport(
-        subject="join with irrelevant power computes symbolic power, t=%d" % t
+    return VerificationReport(
+        "join with irrelevant power computes symbolic power, t=%d" % t,
+        [
+            verdict(
+                "join of the point ideal with the irrelevant power equals the"
+                " ordinary power",
+                ideal_equal(joined, ideal_power(ideal, t)),
+            )
+        ],
     )
-    report.add(
-        "join of the point ideal with the irrelevant power equals the"
-        " ordinary power",
-        "equal",
-        "equal" if equal else "different",
-        equal,
-    )
-    return report
 
 
 def grid_structure_unit(grid_json: dict) -> list[CheckInstance]:
@@ -760,13 +747,10 @@ def grid_elimination_unit(
     cap is recorded as skipped."""
     g = grid_from_json(grid_json)
     oracle = grid_ideal_intersection(g, budget)
-    equal = ideal_equal(pattern_ideal(g), oracle)
     instances = [
-        CheckInstance(
+        verdict(
             "pattern ideal equals the intersection oracle",
-            "equal",
-            "equal" if equal else "different",
-            equal,
+            ideal_equal(pattern_ideal(g), oracle),
         )
     ]
     for t in range(1, t_max + 1):
@@ -783,18 +767,9 @@ def grid_elimination_unit(
                 if t == 1
                 else grid_ideal_intersection(symbolic_grid(g, t), budget)
             )
-            equal = ideal_equal(power, sym_oracle)
-            instances.append(
-                CheckInstance(
-                    label, "equal", "equal" if equal else "different", equal
-                )
-            )
+            instances.append(verdict(label, ideal_equal(power, sym_oracle)))
         except BudgetExceededError as exc:
-            instances.append(
-                CheckInstance(
-                    label, "equal", "not computed", True, "skipped: %s" % exc
-                )
-            )
+            instances.append(skipped(label, "equal", exc))
     return instances
 
 

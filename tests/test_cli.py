@@ -240,6 +240,38 @@ def test_power_check_rejects_bad_point_text(runner):
     assert "input parse error" in result.output
 
 
+def test_power_check_has_no_budget_flag(runner):
+    result = runner.invoke(
+        cli.main,
+        ["power-check", "--p", "1:2:3", "--q", "2:1:1", "--budget-degree", "64"],
+    )
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert "--budget-degree" in result.output
+
+
+_LIBRARY_ERRORS = [
+    ([command, "--m", "0", "--n", "1"], "invalid grid: ")
+    for command in ("grid", "resolution", "generators", "invariants", "verify")
+] + [
+    ([command, "--ideal-a", "missing.json", "--ideal-b", "missing.json"],
+     "input parse error: ")
+    for command in ("hadamard", "join")
+] + [(["power-check", "--p", "1:0:0", "--q", "0:1:0"], "domain error: ")]
+
+
+@pytest.mark.parametrize(
+    "argv, prefix", _LIBRARY_ERRORS, ids=[argv[0] for argv, _ in _LIBRARY_ERRORS]
+)
+def test_every_command_exits_2_on_a_library_error(runner, argv, prefix):
+    with runner.isolated_filesystem():
+        result = runner.invoke(cli.main, argv)
+    assert result.exit_code == 2
+    assert result.output.startswith(prefix)
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_table_and_json_carry_the_same_data(runner):
     as_json = invoke(runner, "resolution", "--m", "1,2", "--n", "1,2")
     as_table = invoke(runner, "resolution", "--m", "1,2", "--n", "1,2", "--format", "table")

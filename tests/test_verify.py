@@ -397,6 +397,18 @@ def test_point_power_product_rejects_undefined_product():
         check_point_power_product(Point((1, 2, 3)), Point((2, 1, 1)), 0, 1)
 
 
+def test_power_product_caps_the_degree_of_the_target_power(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("elimination before the degree check")
+
+    monkeypatch.setattr(hfg.verify, "hadamard_ideals", forbidden)
+    # each power is under the cap of 12; I(P*Q)^13 is not
+    with pytest.raises(
+        BudgetExceededError, match=r"^Groebner input of total degree 13 "
+    ):
+        check_point_power_product(Point((1, 2, 3)), Point((2, 1, 1)), 7, 7)
+
+
 def test_lemma_irrelevant_off_coordinate_lines():
     report = check_lemma_irrelevant(Point((1, 2, 3)), 3)
     assert report.passed

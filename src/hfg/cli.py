@@ -298,7 +298,7 @@ def invariants_command(m, n, grid_path, t_max, output_format) -> None:
 def _run_verify_jobs(jobs, worker_count: int) -> list:
     if worker_count <= 1:
         return [fn(*args) for fn, args in jobs]
-    with ProcessPoolExecutor(max_workers=worker_count) as pool:
+    with ProcessPoolExecutor(max_workers=min(worker_count, len(jobs))) as pool:
         futures = [pool.submit(fn, *args) for fn, args in jobs]
         return [f.result() for f in futures]
 

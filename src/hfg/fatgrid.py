@@ -398,11 +398,10 @@ def grid_from_json(data) -> FatGrid:
         raise ParseError("grid JSON must be an object")
     if "M" not in data or "N" not in data:
         raise ParseError("grid JSON needs multiplicity lists 'M' and 'N'")
-    try:
-        M = [int(m) for m in data["M"]]
-        N = [int(n) for n in data["N"]]
-    except (TypeError, ValueError) as exc:
-        raise ParseError("multiplicity lists must hold integers") from exc
+    M, N = data["M"], data["N"]
+    for values in (M, N):
+        if not isinstance(values, list) or any(type(x) is not int for x in values):
+            raise ParseError("multiplicity lists must hold integers")
     has_p, has_q = "P" in data, "Q" in data
     if has_p != has_q:
         raise ParseError("grid JSON needs both 'P' and 'Q' or neither")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future
 
 import pytest
 from click.testing import CliRunner
@@ -8,7 +9,8 @@ from click.testing import CliRunner
 import hfg.cli as cli
 import hfg.verify
 from hfg.budget import DEFAULT_BUDGET
-from hfg.fatgrid import abstract_grid
+from hfg.errors import ParseError
+from hfg.fatgrid import abstract_grid, grid_from_json
 from hfg.polycore import ideal_from_json, ideal_to_json, irrelevant_power
 from hfg.projective import Point, point_ideal
 from hfg.report import CheckInstance
@@ -89,6 +91,21 @@ def test_invalid_multiplicities_are_an_input_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"M": [1.7, 2], "N": [1]}, {"M": "23", "N": [1]}, {"M": [True, 2], "N": [1]}],
+    ids=["float", "string", "bool"],
+)
+def test_grid_json_multiplicities_must_be_integers(runner, tmp_path, data):
+    with pytest.raises(ParseError, match="multiplicity lists must hold integers"):
+        grid_from_json(data)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(cli.main, ["grid", "--grid", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("input parse error: ")
+
+
 def test_resolution_command(runner):
     result = invoke(runner, "resolution", "--m", "2,3,3", "--n", "2,3,4,4")
     data = json.loads(result.output)
@@ -148,6 +165,35 @@ def test_verify_output_is_identical_across_job_counts(runner):
     parallel = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "3")
     assert sequential.exit_code == parallel.exit_code == 0
     assert sequential.output == parallel.output
+
+
+def test_verify_starts_no_more_workers_than_jobs(runner, monkeypatch):
+    workers = []
+
+    class InlinePool:
+        """Records the pool size and runs each job at submit, in-process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    pooled = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "64")
+    serial = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "1")
+    # the plan has three units
+    assert workers == [3]
+    assert pooled.exit_code == serial.exit_code == 0
+    assert pooled.output == serial.output
 
 
 def test_verify_failure_sets_exit_code_one(runner, monkeypatch):

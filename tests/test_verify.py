@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hfg.conditions
 import hfg.verify
 from hfg.budget import DEFAULT_BUDGET
 from hfg.errors import BudgetExceededError, DomainError
@@ -50,6 +51,15 @@ def test_vanishing_order_basics():
 def test_vanishing_order_rejects_inhomogeneous_input():
     with pytest.raises(DomainError):
         vanishing_order(X0 + X1 * X2, Point((1, 1, 1)))
+
+
+def test_vanishing_order_wants_a_plane_form():
+    space = PLANE.extended(["x3"])
+    f = Polynomial.monomial(space, (1, 0, 0, 0))
+    with pytest.raises(DomainError):
+        vanishing_order(f, (0, 1, 1, 1))
+    with pytest.raises(DomainError):
+        vanishing_order(X0, (1, 1))
 
 
 def test_vanishing_order_is_additive():
@@ -109,18 +119,18 @@ def _reference_pivot_columns(matrix):
 def _primes_used(monkeypatch):
     """Record the prime of every modular elimination pivot_columns runs."""
     primes = []
-    echelon = hfg.verify._echelon_mod
+    echelon = hfg.conditions._echelon_mod
 
     def recorded(matrix, width, p):
         primes.append(p)
         return echelon(matrix, width, p)
 
-    monkeypatch.setattr(hfg.verify, "_echelon_mod", recorded)
+    monkeypatch.setattr(hfg.conditions, "_echelon_mod", recorded)
     return primes
 
 
 def _first_primes(count):
-    return list(itertools.islice(hfg.verify._primes(), count))
+    return list(itertools.islice(hfg.conditions._primes(), count))
 
 
 _P = _first_primes(1)[0]
@@ -135,9 +145,9 @@ def test_prime_stream_starts_with_the_primes_just_below_2_62():
 def test_is_prime_matches_trial_division():
     for n in range(20000):
         trial = n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
-        assert hfg.verify._is_prime(n) == trial, n
+        assert hfg.conditions._is_prime(n) == trial, n
     # a strong pseudoprime to every prime base up to 23
-    assert not hfg.verify._is_prime(3825123056546413051)
+    assert not hfg.conditions._is_prime(3825123056546413051)
 
 
 @pytest.mark.parametrize(
@@ -150,7 +160,7 @@ def test_is_prime_matches_trial_division():
     ],
 )
 def test_rank_that_drops_mod_the_first_prime_is_exact(monkeypatch, matrix, pivots):
-    assert hfg.verify._echelon_mod(matrix, len(matrix[0]), _P)[0] != pivots
+    assert hfg.conditions._echelon_mod(matrix, len(matrix[0]), _P)[0] != pivots
     primes = _primes_used(monkeypatch)
     assert pivot_columns(matrix) == pivots == _reference_pivot_columns(matrix)
     assert exact_rank(matrix) == len(pivots)
@@ -305,12 +315,15 @@ def test_explicit_grids_need_a_common_denominator():
 
 
 def test_matrix_budget_is_checked_before_any_row_is_built(monkeypatch):
-    def no_rows(point):
+    def no_rows(point, m, top, scale):
         raise AssertionError("condition rows built before the budget check")
 
-    monkeypatch.setattr(hfg.verify, "_primitive_coords", no_rows)
+    monkeypatch.setattr(hfg.verify, "point_conditions", no_rows)
     g = abstract_grid((1, 2), (1, 2))  # 13 condition rows
     wide = dataclasses.replace(DEFAULT_BUDGET, max_matrix_dim=20)
+    # the patch is live: within the budget the rows are built
+    with pytest.raises(AssertionError, match="condition rows built"):
+        hilbert_series_oracle(g, 4, wide)
     # degree 5 is the first with more than 20 columns: C(7, 2) = 21
     with pytest.raises(BudgetExceededError, match=r"^matrix of shape 13x21 "):
         hilbert_series_oracle(g, 6, wide)

@@ -165,25 +165,18 @@ def _assemble(
     col_line: Line,
     swapped: bool,
 ) -> FatGrid:
+    # Not checked, as they hold by construction: ``make`` rejects zero
+    # coordinates (so P * Q is defined) and non-collinear sets, and a
+    # singleton's candidate lines pass through it.  A grid point lies on its
+    # own lines: for the column line c . x = 0 the h-line of P is
+    # (c/P) . x = 0, and (c/P) . (P * Q) = c . Q = 0; likewise for v-lines.
     r, s = row_set.size, col_set.size
-    for p in row_set.points:
-        if not row_line.contains(p):
-            raise GridError("row support line misses %s" % p.to_string())
-    for q in col_set.points:
-        if not col_line.contains(q):
-            raise GridError("column support line misses %s" % q.to_string())
-
     seen: dict[Point, tuple[int, int]] = {}
     rows: list[tuple[Point, ...]] = []
     for i, p in enumerate(row_set.points):
         row: list[Point] = []
         for j, q in enumerate(col_set.points):
             g = hadamard_point(p, q)
-            if g is None:
-                raise GridError(
-                    "Hadamard product of %s and %s is undefined"
-                    % (p.to_string(), q.to_string())
-                )
             if g in seen:
                 raise GridError(
                     "duplicate grid point %s at (%d,%d) and (%d,%d)"
@@ -219,13 +212,13 @@ def _assemble(
         for j in range(s):
             g = grid_points[i][j]
             for i0, hline in enumerate(h_lines):
-                if hline.contains(g) != (i0 == r - 1 - i):
+                if i0 != r - 1 - i and hline.contains(g):
                     raise GridError(
                         "grid is degenerate: point %s and horizontal line %d"
                         % (g.to_string(), i0)
                     )
             for j0, vline in enumerate(v_lines):
-                if vline.contains(g) != (j0 == s - 1 - j):
+                if j0 != s - 1 - j and vline.contains(g):
                     raise GridError(
                         "grid is degenerate: point %s and vertical line %d"
                         % (g.to_string(), j0)

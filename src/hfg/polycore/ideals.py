@@ -232,8 +232,11 @@ def ideal_from_json(data: dict) -> IdealPresentation:
         not isinstance(names, list)
         or not names
         or not all(isinstance(n, str) for n in names)
+        or len(set(names)) != len(names)
     ):
-        raise ParseError("'vars' must be a nonempty list of names")
+        raise ParseError("'vars' must be a nonempty list of distinct names")
+    if not isinstance(data["gens"], list):
+        raise ParseError("'gens' must be a list of polynomials")
     block = VariableBlock(tuple(names))
     gens = [Polynomial.from_json_terms(block, g) for g in data["gens"]]
     return IdealPresentation(block, gens)

@@ -289,7 +289,7 @@ class Polynomial:
                 if not factor:
                     raise ParseError(f"empty factor in {text!r}")
                 if cls._RATIONAL_RE.match(factor):
-                    coeff *= Fraction(factor)
+                    coeff *= parse_rational(factor)
                     continue
                 m = cls._FACTOR_RE.match(factor)
                 if not m:
@@ -349,9 +349,11 @@ class Polynomial:
             try:
                 coeff_text, exps = item
                 coeff = Fraction(coeff_text)
-                key = tuple(int(e) for e in exps)
-            except (TypeError, ValueError) as exc:
+                key = tuple(exps)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad polynomial term {item!r}") from exc
+            if any(type(e) is not int or e < 0 for e in key):
+                raise ParseError(f"term {item!r} needs non-negative integer exponents")
             if len(key) != block.arity:
                 raise ParseError(f"term {item!r} does not match block arity")
             v = terms.get(key, Fraction(0)) + coeff

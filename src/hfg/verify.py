@@ -20,9 +20,7 @@ from .errors import BudgetExceededError, DomainError
 from .fatgrid import (
     FatGrid,
     expand_pattern,
-    grid_from_json,
     grid_ideal_intersection,
-    grid_to_json,
     symbolic_grid,
 )
 from .invariants import (
@@ -402,10 +400,9 @@ def check_join_symbolic(
     )
 
 
-def grid_structure_unit(grid_json: dict) -> list[CheckInstance]:
+def grid_structure_unit(g: FatGrid) -> list[CheckInstance]:
     """Pattern count, and the vanishing order of every expanded pattern at
     every grid point."""
-    g = grid_from_json(grid_json)
     patterns = generator_patterns(g)
     expected = g.row_multiplicities[-1] + g.col_multiplicities[-1]
     r, s = g.shape
@@ -441,13 +438,12 @@ def grid_structure_unit(grid_json: dict) -> list[CheckInstance]:
 
 
 def grid_elimination_unit(
-    grid_json: dict, t_max: int, budget: Budget
+    g: FatGrid, t_max: int, budget: Budget
 ) -> list[CheckInstance]:
     """The pattern ideal against the intersection oracle, then for each
     t = 1..t_max the t-th power of that oracle against the oracle of the
     t-th symbolic grid.  The base oracle is built once; an equality over a
     cap is recorded as skipped."""
-    g = grid_from_json(grid_json)
     oracle = grid_ideal_intersection(g, budget)
     instances = [
         verdict(
@@ -475,11 +471,10 @@ def grid_elimination_unit(
     return instances
 
 
-def grid_hilbert_unit(grid_json: dict, budget: Budget) -> list[CheckInstance]:
+def grid_hilbert_unit(g: FatGrid, budget: Budget) -> list[CheckInstance]:
     """The resolution's Hilbert function against the rank oracle at every
     degree through the largest syzygy twist, then (last) the initial degree
     against the first degree where the oracle dimension is positive."""
-    g = grid_from_json(grid_json)
     shifts = resolution(g)
     computed = hilbert_series_oracle(g, max(shifts.syzygy_twists), budget)
     instances = []
@@ -513,15 +508,16 @@ def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
     the rank oracle, the structure checks.
 
     The grid cap and the certificate depth are checked here, before any
-    unit runs.  Units take the grid as JSON, so the jobs pickle.
+    unit runs.  Every unit takes the built grid itself: a ``FatGrid`` is a
+    frozen dataclass of points, lines and integers, so it pickles whole
+    into a worker process and is never rebuilt there.
     """
     budget.check_grid(g.total_multiplicity)
     t_max = certificate_depth(t_max)
-    grid_json = grid_to_json(g)
     return [
-        (grid_elimination_unit, (grid_json, t_max, budget)),
-        (grid_hilbert_unit, (grid_json, budget)),
-        (grid_structure_unit, (grid_json,)),
+        (grid_elimination_unit, (g, t_max, budget)),
+        (grid_hilbert_unit, (g, budget)),
+        (grid_structure_unit, (g,)),
     ]
 
 

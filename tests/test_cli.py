@@ -160,11 +160,25 @@ def test_verify_small_grid_passes(runner):
     assert all(inst["passed"] for inst in data["instances"])
 
 
-def test_verify_output_is_identical_across_job_counts(runner):
-    sequential = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "1")
-    parallel = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "3")
-    assert sequential.exit_code == parallel.exit_code == 0
-    assert sequential.output == parallel.output
+_SWAPPED_GRID = {
+    "P": [["1", "1", "2"], ["1", "1", "3"], ["1", "1", "5"]],
+    "M": [1, 2, 1],
+    "Q": [["1", "2", "1"], ["1", "3", "1"]],
+    "N": [1, 2],
+}
+
+
+def test_verify_output_is_identical_across_job_counts(runner, tmp_path):
+    # the row set of the grid file is the larger one, so the workers get a
+    # grid with ``swapped`` set
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(_SWAPPED_GRID))
+    assert grid_from_json(_SWAPPED_GRID).swapped
+    for grid_args in (["--m", "1,2", "--n", "1,2"], ["--grid", str(path)]):
+        sequential = invoke(runner, "verify", *grid_args, "--jobs", "1")
+        parallel = invoke(runner, "verify", *grid_args, "--jobs", "3")
+        assert sequential.exit_code == parallel.exit_code == 0
+        assert sequential.output == parallel.output
 
 
 def test_verify_starts_no_more_workers_than_jobs(runner, monkeypatch):
@@ -197,7 +211,7 @@ def test_verify_starts_no_more_workers_than_jobs(runner, monkeypatch):
 
 
 def test_verify_failure_sets_exit_code_one(runner, monkeypatch):
-    def broken(grid_json):
+    def broken(grid):
         return [CheckInstance("forced failure", "pass", "fail", False)]
 
     monkeypatch.setattr(hfg.verify, "grid_structure_unit", broken)
@@ -265,6 +279,33 @@ def test_hadamard_rejects_missing_file(runner, tmp_path):
         ["hadamard", "--ideal-a", str(tmp_path / "x.json"), "--ideal-b", str(tmp_path / "y.json")],
     )
     assert result.exit_code == 2
+
+
+_GOOD_IDEAL = {"vars": ["x0", "x1", "x2"], "gens": [[["1", [1, 0, 0]]]]}
+_BAD_IDEALS = {
+    "zero-denominator-term": {"vars": ["x0", "x1", "x2"], "gens": [[["1/0", [1, 0, 0]]]]},
+    "zero-denominator-text": {"vars": ["x0", "x1", "x2"], "gens": ["x0 + 1/0*x1"]},
+    "negative-exponent": {"vars": ["x0", "x1", "x2"], "gens": [[["1", [-1, 0, 0]]]]},
+    "fractional-exponent": {"vars": ["x0", "x1", "x2"], "gens": [[["1", [1.5, 0, 0]]]]},
+    "bool-exponent": {"vars": ["x0", "x1", "x2"], "gens": [[["1", [True, 0, 0]]]]},
+    "repeated-variable": {"vars": ["x0", "x0", "x2"], "gens": []},
+    "gens-not-a-list": {"vars": ["x0", "x1", "x2"], "gens": 5},
+}
+
+
+@pytest.mark.parametrize("command", ["hadamard", "join"])
+@pytest.mark.parametrize("bad", list(_BAD_IDEALS.values()), ids=list(_BAD_IDEALS))
+def test_malformed_ideal_file_is_an_input_error(runner, tmp_path, command, bad):
+    good, broken = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_GOOD_IDEAL))
+    broken.write_text(json.dumps(bad))
+    result = runner.invoke(
+        cli.main, [command, "--ideal-a", str(good), "--ideal-b", str(broken)]
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("input parse error: ")
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_power_check_command(runner):

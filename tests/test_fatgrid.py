@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import json
+import pickle
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfg.budget import Budget
 from hfg.errors import BudgetExceededError, DomainError, GridError, ParseError
@@ -20,7 +24,7 @@ from hfg.fatgrid import (
 )
 from hfg.invariants import generator_patterns
 from hfg.polycore import ideal_equal, ideal_intersection, ideal_power
-from hfg.projective import Point, hadamard_point, point_ideal, reciprocal
+from hfg.projective import Point, hadamard_point, line_through, point_ideal, reciprocal
 
 COLLINEAR = [Point((1, 1, 2)), Point((1, 1, 3)), Point((1, 1, 4))]
 
@@ -79,6 +83,43 @@ def test_grid_lines_incidence_structure(example_grid):
         assert sum(l.contains(p) for row in g.grid_points for p in row) == r
 
 
+# points with small integer coordinates, none of them zero
+_POINT_POOL = list(
+    dict.fromkeys(Point(c) for c in itertools.product((-3, -2, -1, 1, 2, 3), repeat=3))
+)
+
+
+@st.composite
+def weighted_collinear_sets(draw):
+    """One to three pool points on the line through two pool points."""
+    first, second = draw(st.lists(st.sampled_from(_POINT_POOL), min_size=2, max_size=2, unique=True))
+    line = line_through(first, second)
+    on_line = [p for p in _POINT_POOL if line.contains(p)]
+    size = min(draw(st.integers(1, 3)), len(on_line))
+    points = draw(st.lists(st.sampled_from(on_line), min_size=size, max_size=size, unique=True))
+    mults = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    return WeightedPointSet.make(points, mults)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(weighted_collinear_sets(), weighted_collinear_sets())
+def test_explicit_grid_incidences_hold_by_construction(rows, cols):
+    """What ``build_grid`` does not check: support lines carry their sets,
+    and each grid point lies on its own h-line and v-line and on no other."""
+    try:
+        g = build_grid(rows, cols)
+    except GridError:
+        return
+    assert all(g.row_line.contains(p) for p in g.row_set.points)
+    assert all(g.col_line.contains(q) for q in g.col_set.points)
+    r, s = g.shape
+    for i in range(r):
+        for j in range(s):
+            point = g.grid_points[i][j]
+            assert [k for k, l in enumerate(g.h_lines) if l.contains(point)] == [r - 1 - i]
+            assert [k for k, l in enumerate(g.v_lines) if l.contains(point)] == [s - 1 - j]
+
+
 def test_neighbouring_multiplicity_differences(example_grid):
     g = example_grid
     m, n = g.row_multiplicities, g.col_multiplicities
@@ -101,6 +142,16 @@ def test_role_swap_keeps_rows_smaller():
     assert g.h_lines[0].contains(g.grid_points[0][0])
     assert g.v_lines[0].contains(g.grid_points[0][1])
     assert not g.v_lines[0].contains(g.grid_points[0][0])
+
+
+def test_swapped_explicit_grid_survives_pickling():
+    rows = WeightedPointSet.make(COLLINEAR, [1, 2, 1])
+    cols = WeightedPointSet.make([Point((1, 2, 1)), Point((1, 3, 1))], [1, 2])
+    g = build_grid(rows, cols)
+    assert g.swapped
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g
+    assert copy.swapped
 
 
 def test_duplicate_grid_point_rejected():

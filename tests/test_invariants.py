@@ -13,7 +13,6 @@ from hfg.errors import DomainError, GridError
 from hfg.fatgrid import (
     abstract_grid,
     grid_ideal_intersection,
-    grid_to_json,
     symbolic_grid,
 )
 from hfg.invariants import (
@@ -196,7 +195,7 @@ def test_resurgence_certificate_trivial_t1(example_grid):
 def test_resurgence_certificate_example_t3(example_grid, example_budget):
     report = resurgence_certificate(example_grid, 3)
     assert report.passed
-    instances = grid_elimination_unit(grid_to_json(example_grid), 3, example_budget)
+    instances = grid_elimination_unit(example_grid, 3, example_budget)
     skipped = [inst for inst in instances if inst.flag]
     # The full elimination cross-check is out of budget for the 3x4 grid and
     # must be reported as skipped, never silently dropped.
@@ -210,7 +209,7 @@ def test_resurgence_certificate_with_groebner_cross_check():
     assert report.passed
     oracle_instances = [
         inst
-        for inst in grid_elimination_unit(grid_to_json(g), 2, DEFAULT_BUDGET)
+        for inst in grid_elimination_unit(g, 2, DEFAULT_BUDGET)
         if "elimination oracle" in inst.label
     ]
     assert len(oracle_instances) == 2
@@ -256,7 +255,7 @@ def test_resurgence_certificate_above_the_grid_cap_builds_no_symbolic_grid(
     g = abstract_grid((1, 2), (1, 2))  # total multiplicity 8
     budget = dataclasses.replace(DEFAULT_BUDGET, max_grid_multiplicity=12)
     assert resurgence_certificate(g, 3).passed
-    instances = grid_elimination_unit(grid_to_json(g), 3, budget)
+    instances = grid_elimination_unit(g, 3, budget)
     oracle = [inst for inst in instances if "elimination oracle" in inst.label]
     assert all(inst.passed for inst in oracle)
     # t=1 compares with the base oracle; t=2 and t=3 exceed the grid cap

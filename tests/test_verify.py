@@ -14,7 +14,7 @@ import hfg.conditions
 import hfg.verify
 from hfg.budget import DEFAULT_BUDGET
 from hfg.errors import BudgetExceededError, DomainError
-from hfg.fatgrid import abstract_grid, expand_pattern, grid_from_json, grid_to_json
+from hfg.fatgrid import abstract_grid, expand_pattern, grid_from_json
 from hfg.invariants import generator_patterns, resolution
 from hfg.polycore import (
     PLANE,
@@ -343,9 +343,7 @@ def test_resurgence_skip_builds_no_ideal_power(monkeypatch):
     monkeypatch.setattr(hfg.verify, "ideal_power", counted)
     # the base oracle of (1,2|1,2) has top degree 5, so t=2 needs degree 10
     budget = dataclasses.replace(DEFAULT_BUDGET, max_groebner_degree=8)
-    instances = grid_elimination_unit(
-        grid_to_json(abstract_grid((1, 2), (1, 2))), 2, budget
-    )
+    instances = grid_elimination_unit(abstract_grid((1, 2), (1, 2)), 2, budget)
     # the pattern-ideal instance first, then one per t
     oracle = instances[1:]
     assert [(inst.computed, inst.flag) for inst in oracle] == [

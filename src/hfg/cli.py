@@ -19,6 +19,7 @@ import click
 from . import __version__
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import (
+    BlockMismatchError,
     BudgetExceededError,
     DomainError,
     GridError,
@@ -41,6 +42,7 @@ from .verify import check_point_power_product, grid_check_plan, grid_report
 
 _ERROR_PREFIX = {
     ParseError: "input parse error",
+    BlockMismatchError: "variable block mismatch",
     GridError: "invalid grid",
     DomainError: "domain error",
     BudgetExceededError: "budget exceeded",

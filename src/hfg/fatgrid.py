@@ -306,20 +306,25 @@ def grid_ideal_intersection(
     """Oracle ideal of the grid: intersect the point-ideal powers directly.
 
     Each grid row's point powers are intersected in a balanced pairwise
-    tree, then the row ideals are combined the same way.  The result is a
-    reduced Groebner basis, so the grouping does not change its generators.
+    tree, then the row ideals are combined the same way.  The rows, and the
+    points within each row, enter the trees heaviest first: in decreasing
+    multiplicity.  The result is a reduced Groebner basis, so neither the
+    grouping nor the order changes its generators.
     """
     budget.check_grid(g.total_multiplicity)
     r, s = g.shape
+    # ``make`` keeps both multiplicity vectors non-decreasing
+    rows = range(r - 1, -1, -1)
+    cols = range(s - 1, -1, -1)
     return _intersect_pairwise(
         [
             _intersect_pairwise(
                 [
                     ideal_power(point_ideal(g.grid_points[i][j]), g.mult[i][j])
-                    for j in range(s)
+                    for j in cols
                 ]
             )
-            for i in range(r)
+            for i in rows
         ]
     )
 

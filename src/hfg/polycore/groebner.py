@@ -6,10 +6,13 @@ coefficient, which keeps the inner loop in machine-int / bigint arithmetic.
 Monomials are packed into ints once per call for the order in use (see
 _Packing), so multiplying monomials is an integer add, comparing them is an
 integer compare and testing divisibility is a mask test.  Pairs are selected
-by lowest lcm degree, ties broken by the monomial order of the lcm and then
-by pair index, so runs are deterministic.  The returned basis is the reduced
-monic basis, sorted by leading monomial, and is therefore a canonical form of
-the ideal for the given order.
+by lowest sugar (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar
+cube, please", ISSAC 1991), ties broken by the monomial order of the lcm and
+then by pair index, so runs are deterministic.  The sugar of an input is its
+total degree and that of an S-polynomial is the degree its lcm would have if
+both rows were homogenised, so on homogeneous grevlex input it is the lcm
+degree.  The returned basis is the reduced monic basis, sorted by leading
+monomial, and is therefore a canonical form of the ideal for the given order.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from operator import lshift
 from typing import Callable, Sequence, TypeVar
 
 from ..errors import BlockMismatchError
-from .orders import GREVLEX, Exponents, MonomialOrder
+from .orders import GREVLEX, Exponents, MonomialOrder, elimination_order
 from .poly import Polynomial, VariableBlock
 
 # An integer polynomial maps the packed order key K of each monomial to its
@@ -125,12 +128,13 @@ class _Row:
 
     `reach` bounds how far a term's degree exceeds the leading monomial's.
     In a graded order (one segment) it is never positive, and products of a
-    reducer need no overflow check.
+    reducer need no overflow check.  `sugar` orders the pairs the row takes
+    part in; it defaults to the total degree.
     """
 
-    __slots__ = ("terms", "lm", "lc", "e", "tail", "reach")
+    __slots__ = ("terms", "lm", "lc", "e", "tail", "reach", "sugar")
 
-    def __init__(self, terms: IntPoly, pk: _Packing):
+    def __init__(self, terms: IntPoly, pk: _Packing, sugar: int | None = None):
         self.terms = terms
         self.lm = max(terms)
         self.lc = terms[self.lm]
@@ -140,6 +144,9 @@ class _Row:
         if not pk.graded:
             top = max((pk.degree(pk.exps(k)) for k, _ in self.tail), default=0)
             self.reach = top - pk.degree(self.e)
+        if sugar is None:
+            sugar = pk.degree(self.e) + max(self.reach, 0)
+        self.sugar = sugar
 
 
 def _content(p: IntPoly) -> int:
@@ -211,14 +218,14 @@ def _reduce(f: IntPoly, rows: Sequence[_Row], pk: _Packing) -> tuple[IntPoly, in
     return rem, scale
 
 
-# a pair is (degree of lcm, K of lcm, i, j, E of lcm); as i, j differ between
-# pairs, tuple order is the selection order
+# a pair is (sugar, K of lcm, i, j, E of lcm); as i, j differ between pairs,
+# tuple order is the selection order
 _Pair = tuple[int, int, int, int, int]
 
 
 def _spoly(r1: _Row, r2: _Row, pair: _Pair, pk: _Packing) -> IntPoly:
-    deg, kl = pair[0], pair[1]
-    if deg + max(r1.reach, r2.reach) >= pk.cap:
+    kl = pair[1]
+    if pk.degree(pair[4]) + max(r1.reach, r2.reach) >= pk.cap:
         raise _Overflow
     u = kl - r1.lm
     v = kl - r2.lm
@@ -274,7 +281,9 @@ def _update(G: list[_Row], P: list[_Pair], row: _Row, pk: _Packing) -> list[_Pai
         deg = pk.degree(el)
         if deg >= pk.cap:
             raise _Overflow
-        kept.append((deg, pk.key(el), min(idxs), t, el))
+        i = min(idxs)
+        sugar = max(G[i].sugar - pk.degree(G[i].e), row.sugar - pk.degree(ef)) + deg
+        kept.append((sugar, pk.key(el), i, t, el))
     G.append(row)
     heapq.heapify(kept)
     return kept
@@ -308,8 +317,8 @@ def _buchberger(polys: list[IntPoly], pk: _Packing) -> list[_Row]:
         s = _spoly(G[pair[2]], G[pair[3]], pair, pk)
         r = _primitive(_reduce(s, G, pk)[0])
         if r:
-            P = _update(G, P, _Row(r, pk), pk)
-    return _interreduce(G, pk)
+            P = _update(G, P, _Row(r, pk, pair[0]), pk)
+    return G
 
 
 def _packed(
@@ -343,18 +352,41 @@ def groebner_basis(
     gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX
 ) -> tuple[Polynomial, ...]:
     """Reduced monic Groebner basis, sorted by leading monomial."""
+    return _reduced_basis(gens, order, None)
+
+
+def _elimination_basis(gens: Sequence[Polynomial], front: int) -> tuple[Polynomial, ...]:
+    """The elements of groebner_basis(gens, elimination_order(front)) that
+    involve only the first `front` variables.
+
+    By the elimination property, a row whose leading monomial avoids the
+    other variables has no term in them, and only such rows have leading
+    monomials that divide its terms, so the other rows are dropped before
+    interreduction.
+    """
+    return _reduced_basis(gens, elimination_order(front), front)
+
+
+def _reduced_basis(
+    gens: Sequence[Polynomial], order: MonomialOrder, front: int | None
+) -> tuple[Polynomial, ...]:
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         return ()
     block = _common_block(nonzero)
 
     def run(pk: _Packing) -> tuple[Polynomial, ...]:
-        rows = _buchberger([_primitive(_to_int_poly(g, pk)[0]) for g in nonzero], pk)
+        G = _buchberger([_primitive(_to_int_poly(g, pk)[0]) for g in nonzero], pk)
+        if front is not None:
+            # the eliminated variables hold the fields from `front` up, so a
+            # key avoids them exactly when it is below the first such field
+            bound = 1 << (front * pk.width)
+            G = [row for row in G if row.lm < bound]
         return tuple(
             Polynomial(
                 block, {pk.unpack(k): Fraction(c, row.lc) for k, c in row.terms.items()}
             )
-            for row in rows
+            for row in _interreduce(G, pk)
         )
 
     return _packed(run, nonzero, order)

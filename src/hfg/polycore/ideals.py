@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import BlockMismatchError, DomainError, ParseError
-from .groebner import groebner_basis, normal_form, normal_forms
-from .orders import GREVLEX, MonomialOrder, elimination_order
+from .groebner import _elimination_basis, groebner_basis, normal_form, normal_forms
+from .orders import GREVLEX, MonomialOrder
 from .poly import PLANE, Polynomial, VariableBlock, monomials_of_degree
 
 
@@ -126,13 +126,9 @@ def eliminate(
     k = keep.arity
     if ext.names[:k] != keep.names:
         raise BlockMismatchError("kept block is not the leading segment")
-    gb = groebner_basis(gens, elimination_order(k))
-    restricted = []
-    for g in gb:
-        if all(not any(e[k:]) for e in g.terms):
-            restricted.append(g.restrict_front(keep))
+    restricted = tuple(g.restrict_front(keep) for g in _elimination_basis(gens, k))
     result = IdealPresentation(keep, restricted)
-    result._set_basis(GREVLEX, tuple(restricted))
+    result._set_basis(GREVLEX, restricted)
     return result
 
 

@@ -348,6 +348,9 @@ class Polynomial:
         for item in data:
             try:
                 coeff_text, exps = item
+                # a JSON number is a binary float, not the rational it reads as
+                if type(coeff_text) not in (str, int):
+                    raise TypeError
                 coeff = Fraction(coeff_text)
                 key = tuple(exps)
             except (TypeError, ValueError, ZeroDivisionError) as exc:

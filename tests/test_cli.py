@@ -288,6 +288,8 @@ _BAD_IDEALS = {
     "negative-exponent": {"vars": ["x0", "x1", "x2"], "gens": [[["1", [-1, 0, 0]]]]},
     "fractional-exponent": {"vars": ["x0", "x1", "x2"], "gens": [[["1", [1.5, 0, 0]]]]},
     "bool-exponent": {"vars": ["x0", "x1", "x2"], "gens": [[["1", [True, 0, 0]]]]},
+    "float-coefficient": {"vars": ["x0", "x1", "x2"], "gens": [[[0.1, [1, 0, 0]]]]},
+    "bool-coefficient": {"vars": ["x0", "x1", "x2"], "gens": [[[True, [1, 0, 0]]]]},
     "repeated-variable": {"vars": ["x0", "x0", "x2"], "gens": []},
     "gens-not-a-list": {"vars": ["x0", "x1", "x2"], "gens": 5},
 }
@@ -305,6 +307,19 @@ def test_malformed_ideal_file_is_an_input_error(runner, tmp_path, command, bad):
     assert result.exit_code == 2
     assert result.stderr.startswith("input parse error: ")
     assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command", ["hadamard", "join"])
+def test_ideals_on_different_blocks_are_a_named_error(runner, tmp_path, command):
+    good, other = tmp_path / "good.json", tmp_path / "other.json"
+    good.write_text(json.dumps(_GOOD_IDEAL))
+    other.write_text(json.dumps({"vars": ["y0", "y1"], "gens": []}))
+    result = runner.invoke(
+        cli.main, [command, "--ideal-a", str(good), "--ideal-b", str(other)]
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("variable block mismatch: ")
     assert isinstance(result.exception, SystemExit)
 
 

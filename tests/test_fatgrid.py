@@ -248,6 +248,7 @@ def test_grid_ideal_respects_budget(example_grid):
     "grid",
     [
         abstract_grid((1, 2), (1, 2)),
+        abstract_grid((1, 2), (1, 2, 3)),
         abstract_grid((1, 2, 3), (1, 2, 3, 4)),
         abstract_grid((3,), (1, 2, 4, 5)),
         # rows of odd length: the last point power is carried up a level
@@ -262,7 +263,7 @@ def test_grid_ideal_respects_budget(example_grid):
         ),
         symbolic_grid(abstract_grid((1, 2), (1, 2, 3)), 2),
     ],
-    ids=["1,2|1,2", "1,2,3|1,2,3,4", "3|1,2,4,5", "2,2|1,1,5", "explicit", "t2"],
+    ids=["1,2|1,2", "1,2|1,2,3", "1,2,3|1,2,3,4", "3|1,2,4,5", "2,2|1,1,5", "explicit", "t2"],
 )
 def test_grid_ideal_tree_matches_sequential_intersection(grid):
     budget = Budget(max_grid_multiplicity=64)

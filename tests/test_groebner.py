@@ -167,8 +167,10 @@ def test_normal_form_against_a_non_groebner_list_is_exact():
     assert normal_form(f, divisors, LEX).to_json_terms() == expected["lex"]
 
 
-# Reduced bases of three fixed ideals, recorded before the engine moved to
-# packed monomials; reduced bases are canonical, so they must not change.
+# Reduced bases of fixed ideals, the first three recorded before the engine
+# moved to packed monomials, the last before pairs were taken by sugar (on
+# that inhomogeneous grevlex input sugar and lcm degree order the pairs
+# differently); reduced bases are canonical, so they must not change.
 GREVLEX_BASIS = [
     [["1", [1, 1, 0]], ["1/3", [1, 0, 1]], ["-1/3", [0, 0, 2]]],
     [["1", [0, 3, 0]], ["-1/4", [1, 0, 2]]],
@@ -221,6 +223,15 @@ LEX_BASIS = [
     ],
 ]
 
+INHOMOGENEOUS_GREVLEX_BASIS = [
+    [["1", [0, 0, 2, 0]], ["-1", [0, 1, 0, 1]], ["-2", [0, 0, 0, 0]]],
+    [["1", [0, 1, 1, 0]], ["-1", [1, 0, 0, 0]]],
+    [["1", [0, 2, 0, 1]], ["-1", [1, 0, 1, 0]], ["2", [0, 1, 0, 0]]],
+    [["1", [2, 0, 0, 1]], ["-1/3", [0, 1, 0, 0]]],
+    [["1", [3, 0, 1, 0]], ["-2", [2, 1, 0, 0]], ["-1/3", [0, 3, 0, 0]]],
+    [["1", [4, 0, 0, 0]], ["-2", [2, 2, 0, 0]], ["-1/3", [0, 4, 0, 0]]],
+]
+
 
 def test_pinned_reduced_bases():
     half = Fraction(1, 2)
@@ -233,9 +244,14 @@ def test_pinned_reduced_bases():
         X0 * X1 - half * X2,
         X1 - X2**2 + 3 * X0,
     ]
+    quad = VariableBlock(("y0", "y1", "y2", "y3"))
+    y0, y1, y2, y3 = variables(quad)
+    two = Polynomial.constant(quad, 2)
+    d = [y0 - y1 * y2, y1 * y3 - y2**2 + two, y0**2 * y3 - Fraction(1, 3) * y1]
     for gens, order, pinned in (
         (a, GREVLEX, GREVLEX_BASIS),
         (b, elimination_order(3), ELIM_BASIS),
         (c, LEX, LEX_BASIS),
+        (d, GREVLEX, INHOMOGENEOUS_GREVLEX_BASIS),
     ):
         assert [g.to_json_terms() for g in groebner_basis(gens, order)] == pinned

@@ -4,12 +4,18 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfg.errors import DomainError
 from hfg.polycore import (
     PLANE,
     IdealPresentation,
     Polynomial,
+    VariableBlock,
+    eliminate,
+    elimination_order,
+    groebner_basis,
     hadamard_ideals,
     hadamard_transform_ideal,
     ideal_equal,
@@ -20,6 +26,7 @@ from hfg.polycore import (
     ideal_to_json,
     irrelevant_power,
     join_ideals,
+    monomials_of_degree,
     normal_form,
     variables,
 )
@@ -148,3 +155,33 @@ def test_ideal_json_round_trip():
     data = ideal_to_json(i)
     assert data["vars"] == ["x0", "x1", "x2"]
     assert ideal_equal(ideal_from_json(data), i)
+
+
+@st.composite
+def small_eliminations(draw):
+    """Two or three sparse inhomogeneous generators of degree at most 2 in
+    four or five variables, and how many leading variables to keep."""
+    nvars = draw(st.integers(min_value=4, max_value=5))
+    block = VariableBlock(tuple("x%d" % i for i in range(nvars)))
+    monomials = [e for d in range(3) for e in monomials_of_degree(block, d)]
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    term = st.tuples(coeffs, st.sampled_from(monomials))
+    gens = []
+    for terms in draw(st.lists(st.lists(term, min_size=1, max_size=3), min_size=2, max_size=3)):
+        f = Polynomial.zero(block)
+        for c, exps in terms:
+            f = f + c * Polynomial.monomial(block, exps)
+        gens.append(f)
+    return gens, draw(st.integers(min_value=1, max_value=nvars - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_eliminations())
+def test_eliminate_is_the_kept_part_of_the_full_elimination_basis(case):
+    gens, k = case
+    keep = VariableBlock(gens[0].block.names[:k])
+    full = groebner_basis(gens, elimination_order(k))
+    kept = tuple(
+        g.restrict_front(keep) for g in full if not any(any(e[k:]) for e in g.terms)
+    )
+    assert eliminate(gens, keep).groebner_basis() == kept

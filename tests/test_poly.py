@@ -58,6 +58,13 @@ def test_json_terms_round_trip():
     assert Polynomial.from_json_terms(PLANE, data) == p
 
 
+def test_json_terms_take_int_coefficients_but_no_json_floats():
+    assert Polynomial.from_json_terms(PLANE, [[-2, [1, 0, 0]]]) == -2 * X0
+    for coeff in (0.1, 1.0, True):
+        with pytest.raises(ParseError):
+            Polynomial.from_json_terms(PLANE, [[coeff, [1, 0, 0]]])
+
+
 def test_homogeneity_and_degree():
     assert (X0 * X1 - X2 * X2).is_homogeneous()
     assert not (X0 + X1 * X2).is_homogeneous()

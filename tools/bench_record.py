@@ -30,7 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def run_benchmark(root: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_benchmark(
+    root: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int
+) -> dict:
     """One benchmark run in `root`: its env fingerprint and its result line."""
     argv = command + [
         "--workload", workload, "--seed", str(seed),
@@ -82,7 +84,10 @@ def record(bench: dict, parent: Path, rounds: int, seconds: float) -> dict:
             runs = {}
             for side in order:
                 runs[side] = run_benchmark(roots[side], command, workload, seed, seconds, 0)
-                print("# %s round %d %s: %s" % (workload, k + 1, side, runs[side]["metrics"]), file=sys.stderr)
+                print(
+                    "# %s round %d %s: %s" % (workload, k + 1, side, runs[side]["metrics"]),
+                    file=sys.stderr,
+                )
             for side in SIDES:
                 out["env"][side][workload] = runs[side].pop("env")
             pairs.append({"seed": seed, "first": order[0], **runs})
@@ -122,7 +127,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--rounds", type=int, default=10, help="parent/change pairs per workload")
-    parser.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json)")
+    parser.add_argument(
+        "--seconds", type=float, default=None, help="run length (default: BENCHMARK.json)"
+    )
     parser.add_argument("--out", type=Path, required=True, help="where to write the JSON record")
     args = parser.parse_args(argv)
     if args.rounds < 1:

@@ -49,15 +49,11 @@ from .invariants import (
     waldschmidt,
 )
 from .polycore import (
-    GREVLEX,
-    LEX,
     PLANE,
     IdealPresentation,
-    MonomialOrder,
     Polynomial,
     VariableBlock,
     eliminate,
-    elimination_order,
     groebner_basis,
     hadamard_ideals,
     hadamard_transform,

@@ -16,7 +16,6 @@ from .ideals import (
     irrelevant_power,
     join_ideals,
 )
-from .orders import GREVLEX, LEX, MonomialOrder, elimination_order
 from .poly import (
     PLANE,
     Polynomial,
@@ -28,15 +27,11 @@ from .poly import (
 )
 
 __all__ = [
-    "GREVLEX",
-    "LEX",
     "IdealPresentation",
-    "MonomialOrder",
     "PLANE",
     "Polynomial",
     "VariableBlock",
     "eliminate",
-    "elimination_order",
     "format_rational",
     "groebner_basis",
     "hadamard_ideals",

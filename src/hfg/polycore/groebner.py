@@ -3,16 +3,17 @@
 The public entry points work on Polynomial (Fraction coefficients); the
 engine itself runs on content-free integer polynomials with positive leading
 coefficient, which keeps the inner loop in machine-int / bigint arithmetic.
-Monomials are packed into ints once per call for the order in use (see
-_Packing), so multiplying monomials is an integer add, comparing them is an
-integer compare and testing divisibility is a mask test.  Pairs are selected
-by lowest sugar (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar
-cube, please", ISSAC 1991), ties broken by the monomial order of the lcm and
-then by pair index, so runs are deterministic.  The sugar of an input is its
-total degree and that of an S-polynomial is the degree its lcm would have if
-both rows were homogenised, so on homogeneous grevlex input it is the lcm
-degree.  The returned basis is the reduced monic basis, sorted by leading
-monomial, and is therefore a canonical form of the ideal for the given order.
+Monomials are packed into ints once per call (see _Packing), so multiplying
+monomials is an integer add, comparing them is an integer compare and
+testing divisibility is a mask test.  The monomial order is grevlex;
+`_elimination_basis` puts a tail block of variables above it.  Pairs are
+selected by lowest sugar (Giovini, Mora, Niesi, Robbiano and Traverso, "One
+sugar cube, please", ISSAC 1991), ties broken by the monomial order of the
+lcm and then by pair index, so runs are deterministic.  The sugar of an
+input is its total degree and that of an S-polynomial is the degree its lcm
+would have if both rows were homogenised, so on homogeneous grevlex input it
+is the lcm degree.  The returned basis is the reduced monic basis, sorted by
+leading monomial, and is therefore a canonical form of the ideal.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from operator import lshift
 from typing import Callable, Sequence, TypeVar
 
 from ..errors import BlockMismatchError
-from .orders import GREVLEX, Exponents, MonomialOrder, elimination_order
-from .poly import Polynomial, VariableBlock
+from .poly import Exponents, Polynomial, VariableBlock
 
 # An integer polynomial maps the packed order key K of each monomial to its
 # coefficient.
@@ -39,45 +39,40 @@ class _Overflow(Exception):
 
 
 class _Packing:
-    """Monomials of one order and arity packed into ints, `width` bits a field.
+    """Monomials of one arity packed into ints, `width` bits a field.
 
-    Field p, counted from the low end, belongs to variable perm[p] in both
-    ints.  The top bit of every field is a guard bit, so every monomial the
-    engine forms must have total degree below cap = 2**(width - 1); that
-    bounds every field of both ints.
+    Field p, counted from the low end, belongs to variable p in both ints.
+    The top bit of every field is a guard bit, so every monomial the engine
+    forms must have total degree below cap = 2**(width - 1); that bounds
+    every field of both ints.
 
     E holds the exponents.  b divides a exactly when (Ea - Eb) & guard == 0,
     since a field with a_i < b_i borrows into its own guard bit.
 
     K, the order key, holds in field p the sum of the exponents from the
-    start of p's segment up to p.  For grevlex there is one segment, so the
-    top field is the degree; elimination puts the tail block in an upper
-    segment; lex gives every variable its own segment, with x0 on top.  Each
-    field is linear in the exponents, so K(a*b) = K(a) + K(b), and comparing
-    two K as ints compares the monomials in the order.  K determines E.
+    start of p's segment up to p.  With front = 0 there is one segment, so
+    the top field is the degree and K orders by grevlex.  With 0 < front <
+    nvars the variables from `front` on form an upper segment: K compares
+    the tail block by grevlex first, then the front block, so any monomial
+    in a tail variable dominates every monomial in the front block alone
+    (the elimination property).  Each field is linear in the exponents, so
+    K(a*b) = K(a) + K(b), and comparing two K as ints compares the
+    monomials in the order.  K determines E.
     """
 
-    def __init__(self, order: MonomialOrder, nvars: int, width: int):
-        if order.kind == "lex":
-            perm = tuple(reversed(range(nvars)))
-            starts = set(range(nvars))
-        else:
-            perm = tuple(range(nvars))
-            starts = {0, order.front} if 0 < order.front < nvars else {0}
+    def __init__(self, front: int, nvars: int, width: int):
+        starts = [0, front] if 0 < front < nvars else [0]
         field = (1 << width) - 1
         self.graded = len(starts) == 1
         self.width = width
         self.cap = 1 << (width - 1)
         self.guard = sum(1 << (p * width + width - 1) for p in range(nvars))
         self._field = field
-        shifts = [0] * nvars
-        for p, v in enumerate(perm):
-            shifts[v] = p * width
-        self._shifts = tuple(shifts)
+        self._shifts = tuple(p * width for p in range(nvars))
         self._top = (nvars - 1) * width
         self._ones = sum(1 << (p * width) for p in range(nvars))
         self._inner = sum(field << (p * width) for p in range(nvars) if p not in starts)
-        bounds = sorted(starts) + [nvars]
+        bounds = starts + [nvars]
         self._segments = [
             (
                 sum(field << (p * width) for p in range(a, b)),
@@ -118,16 +113,16 @@ class _Packing:
 
 
 @lru_cache(maxsize=32)
-def _packing(order: MonomialOrder, nvars: int, width: int) -> _Packing:
+def _packing(front: int, nvars: int, width: int) -> _Packing:
     """Packings are immutable, and calls on the same block repeat them."""
-    return _Packing(order, nvars, width)
+    return _Packing(front, nvars, width)
 
 
 class _Row:
     """A reducer: integer polynomial with its leading data unpacked once.
 
     `reach` bounds how far a term's degree exceeds the leading monomial's.
-    In a graded order (one segment) it is never positive, and products of a
+    Under grevlex (one segment) it is never positive, and products of a
     reducer need no overflow check.  `sugar` orders the pairs the row takes
     part in; it defaults to the total degree.
     """
@@ -322,7 +317,7 @@ def _buchberger(polys: list[IntPoly], pk: _Packing) -> list[_Row]:
 
 
 def _packed(
-    run: Callable[[_Packing], T], polys: Sequence[Polynomial], order: MonomialOrder
+    run: Callable[[_Packing], T], polys: Sequence[Polynomial], front: int
 ) -> T:
     """Run `run` on a packing wide enough for `polys`, widening on overflow.
 
@@ -335,7 +330,7 @@ def _packed(
     width = max(8, (4 * top).bit_length() + 1)
     while True:
         try:
-            return run(_packing(order, nvars, width))
+            return run(_packing(front, nvars, width))
         except _Overflow:
             width *= 2
 
@@ -348,28 +343,28 @@ def _common_block(polys: Sequence[Polynomial]) -> VariableBlock:
     return block
 
 
-def groebner_basis(
-    gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX
-) -> tuple[Polynomial, ...]:
-    """Reduced monic Groebner basis, sorted by leading monomial."""
-    return _reduced_basis(gens, order, None)
+def groebner_basis(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+    """Reduced monic grevlex Groebner basis, sorted by leading monomial."""
+    return _reduced_basis(gens, 0, False)
 
 
 def _elimination_basis(gens: Sequence[Polynomial], front: int) -> tuple[Polynomial, ...]:
-    """The elements of groebner_basis(gens, elimination_order(front)) that
-    involve only the first `front` variables.
+    """The elements of the reduced basis under the block order of
+    _Packing(front, ...) that involve only the first `front` variables.
 
     By the elimination property, a row whose leading monomial avoids the
     other variables has no term in them, and only such rows have leading
     monomials that divide its terms, so the other rows are dropped before
     interreduction.
     """
-    return _reduced_basis(gens, elimination_order(front), front)
+    return _reduced_basis(gens, front, True)
 
 
 def _reduced_basis(
-    gens: Sequence[Polynomial], order: MonomialOrder, front: int | None
+    gens: Sequence[Polynomial], front: int, kept_only: bool
 ) -> tuple[Polynomial, ...]:
+    """Reduced monic basis under the order of _Packing(front, ...); with
+    `kept_only`, just its elements in the first `front` variables."""
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         return ()
@@ -377,7 +372,7 @@ def _reduced_basis(
 
     def run(pk: _Packing) -> tuple[Polynomial, ...]:
         G = _buchberger([_primitive(_to_int_poly(g, pk)[0]) for g in nonzero], pk)
-        if front is not None:
+        if kept_only:
             # the eliminated variables hold the fields from `front` up, so a
             # key avoids them exactly when it is below the first such field
             bound = 1 << (front * pk.width)
@@ -389,18 +384,16 @@ def _reduced_basis(
             for row in _interreduce(G, pk)
         )
 
-    return _packed(run, nonzero, order)
+    return _packed(run, nonzero, front)
 
 
 def normal_forms(
-    fs: Sequence[Polynomial],
-    basis: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
+    fs: Sequence[Polynomial], basis: Sequence[Polynomial]
 ) -> list[Polynomial]:
     """Remainders of every f under division by `basis`, packing it once.
 
-    Each step divides by the first element of `basis`, in the given order,
-    whose leading monomial divides the leading monomial of what is left.
+    Each step divides by the first element of `basis`, in list order, whose
+    grevlex leading monomial divides the leading monomial of what is left.
     The remainders are unique if `basis` is a Groebner basis.
     """
     todo = [f for f in fs if not f.is_zero]
@@ -420,11 +413,9 @@ def normal_forms(
 
         return [f if f.is_zero else remainder(f) for f in fs]
 
-    return _packed(run, todo + nonzero, order)
+    return _packed(run, todo + nonzero, 0)
 
 
-def normal_form(
-    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX
-) -> Polynomial:
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of f under division by `basis`; see `normal_forms`."""
-    return normal_forms([f], basis, order)[0]
+    return normal_forms([f], basis)[0]

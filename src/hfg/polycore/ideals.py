@@ -1,10 +1,10 @@
 """Ideal presentations and the operations built on elimination.
 
-An IdealPresentation is a generator list plus a cache of reduced Groebner
-bases per monomial order.  Since the reduced monic basis is canonical,
-ideal equality is basis equality, and the restriction of a reduced basis
-for a block-elimination order to the retained block is again the reduced
-basis of the elimination ideal.
+An IdealPresentation is a generator list plus its cached reduced grevlex
+Groebner basis.  Since the reduced monic basis is canonical, ideal equality
+is basis equality.  Elimination orders the eliminated block above grevlex on
+the retained one, so the restriction of its reduced basis to the retained
+block is the reduced grevlex basis of the elimination ideal.
 
 The Hadamard product of ideals is computed from its definition: introduce
 fresh blocks y, z, impose x_i = y_i * z_i together with I(y) and J(z), and
@@ -20,12 +20,11 @@ from typing import Iterable, Sequence
 
 from ..errors import BlockMismatchError, DomainError, ParseError
 from .groebner import _elimination_basis, groebner_basis, normal_form, normal_forms
-from .orders import GREVLEX, MonomialOrder
 from .poly import PLANE, Polynomial, VariableBlock, monomials_of_degree
 
 
 class IdealPresentation:
-    __slots__ = ("block", "generators", "_basis_cache")
+    __slots__ = ("block", "generators", "_basis")
 
     def __init__(self, block: VariableBlock, generators: Iterable[Polynomial]):
         gens = []
@@ -36,7 +35,7 @@ class IdealPresentation:
                 gens.append(g)
         self.block = block
         self.generators = tuple(gens)
-        self._basis_cache: dict[MonomialOrder, tuple[Polynomial, ...]] = {}
+        self._basis: tuple[Polynomial, ...] | None = None
 
     @classmethod
     def from_polys(cls, *gens: Polynomial) -> "IdealPresentation":
@@ -44,15 +43,10 @@ class IdealPresentation:
             raise ValueError("need at least one generator to infer the block")
         return cls(gens[0].block, gens)
 
-    def groebner_basis(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
-        basis = self._basis_cache.get(order)
-        if basis is None:
-            basis = groebner_basis(self.generators, order)
-            self._basis_cache[order] = basis
-        return basis
-
-    def _set_basis(self, order: MonomialOrder, basis: tuple[Polynomial, ...]) -> None:
-        self._basis_cache[order] = basis
+    def groebner_basis(self) -> tuple[Polynomial, ...]:
+        if self._basis is None:
+            self._basis = groebner_basis(self.generators)
+        return self._basis
 
     @property
     def is_zero(self) -> bool:
@@ -64,12 +58,12 @@ class IdealPresentation:
     def contains(self, f: Polynomial) -> bool:
         if f.is_zero:
             return True
-        return normal_form(f, self.groebner_basis(), GREVLEX).is_zero
+        return normal_form(f, self.groebner_basis()).is_zero
 
     def contains_ideal(self, other: "IdealPresentation") -> bool:
         if self.block != other.block:
             raise BlockMismatchError("ideals live on different blocks")
-        remainders = normal_forms(other.generators, self.groebner_basis(), GREVLEX)
+        remainders = normal_forms(other.generators, self.groebner_basis())
         return all(rem.is_zero for rem in remainders)
 
     def __repr__(self) -> str:
@@ -128,7 +122,7 @@ def eliminate(
         raise BlockMismatchError("kept block is not the leading segment")
     restricted = tuple(g.restrict_front(keep) for g in _elimination_basis(gens, k))
     result = IdealPresentation(keep, restricted)
-    result._set_basis(GREVLEX, restricted)
+    result._basis = restricted
     return result
 
 

@@ -18,9 +18,14 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
 from ..errors import BlockMismatchError, ParseError
-from .orders import GREVLEX, Exponents, MonomialOrder
 
+Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
+
+
+def _grevlex_key(exps: Exponents) -> tuple:
+    """Sort key of graded reverse lexicographic order, the fixed term order."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 @dataclass(frozen=True)
@@ -127,13 +132,13 @@ class Polynomial:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Exponents:
+    def leading_monomial(self) -> Exponents:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key())
+        return max(self.terms, key=_grevlex_key)
 
-    def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
+    def leading_coefficient(self) -> Fraction:
+        return self.terms[self.leading_monomial()]
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -305,8 +310,9 @@ class Polynomial:
         return cls(block, terms)
 
     def _sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        key = GREVLEX.key()
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        return sorted(
+            self.terms.items(), key=lambda t: _grevlex_key(t[0]), reverse=True
+        )
 
     def to_string(self) -> str:
         if not self.terms:

@@ -93,6 +93,14 @@ def exact_rank(matrix, budget: Budget = DEFAULT_BUDGET) -> int:
     return len(pivot_columns(matrix))
 
 
+def _check_rank_matrix(g: FatGrid, top: int, budget: Budget) -> None:
+    """The rank oracle's matrix cap at every degree d = 0..top: one row per
+    condition of the scheme, C(d+2, 2) columns."""
+    rows = g.scheme_degree()
+    for d in range(top + 1):
+        budget.check_matrix(rows, math.comb(d + 2, 2))
+
+
 def hilbert_series_oracle(
     g: FatGrid, top: int, budget: Budget = DEFAULT_BUDGET
 ) -> list[int]:
@@ -105,12 +113,9 @@ def hilbert_series_oracle(
     """
     if top < 0:
         raise DomainError("degree must be non-negative")
+    _check_rank_matrix(g, top, budget)
     r, s = g.shape
     cells = [(i, j) for i in range(r) for j in range(s)]
-    rows = sum(g.mult[i][j] * (g.mult[i][j] + 1) // 2 for i, j in cells)
-    for d in range(top + 1):
-        budget.check_matrix(rows, math.comb(d + 2, 2))
-
     points = [primitive_coords(g.grid_points[i][j]) for i, j in cells]
     lcm = math.lcm(*(abs(p[0]) for p in points))
     matrix = [
@@ -507,13 +512,15 @@ def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
     that a process pool starts them in that order: the elimination oracle,
     the rank oracle, the structure checks.
 
-    The grid cap and the certificate depth are checked here, before any
-    unit runs.  Every unit takes the built grid itself: a ``FatGrid`` is a
-    frozen dataclass of points, lines and integers, so it pickles whole
-    into a worker process and is never rebuilt there.
+    The grid cap, the certificate depth and the rank oracle's matrix cap
+    are checked here, before any unit runs.  Every unit takes the built
+    grid itself: a ``FatGrid`` is a frozen dataclass of points, lines and
+    integers, so it pickles whole into a worker process and is never
+    rebuilt there.
     """
     budget.check_grid(g.total_multiplicity)
     t_max = certificate_depth(t_max)
+    _check_rank_matrix(g, max(resolution(g).syzygy_twists), budget)
     return [
         (grid_elimination_unit, (g, t_max, budget)),
         (grid_hilbert_unit, (g, budget)),

@@ -14,8 +14,6 @@ from hfg.polycore import (
     Polynomial,
     VariableBlock,
     eliminate,
-    elimination_order,
-    groebner_basis,
     hadamard_ideals,
     hadamard_transform_ideal,
     ideal_equal,
@@ -30,6 +28,8 @@ from hfg.polycore import (
     normal_form,
     variables,
 )
+from hfg.polycore import ideals
+from hfg.polycore.groebner import _reduced_basis
 from hfg.projective import Point, hadamard_point, point_ideal
 
 X0, X1, X2 = variables(PLANE)
@@ -150,6 +150,26 @@ def test_membership_via_normal_form(example_budget):
     assert not normal_form(poly("x1*x2"), basis).is_zero
 
 
+def test_eliminate_caches_the_basis_it_computed(monkeypatch):
+    # (x0, x1) meet (x1, x2) = (x1, x0*x2), by hand and by ideal_intersection
+    ext = PLANE.extended(["t"])
+    x0, x1, x2, t = variables(ext)
+    one = Polynomial.constant(ext, 1)
+    by_hand = eliminate([t * x0, t * x1, (one - t) * x1, (one - t) * x2], PLANE)
+    meet = ideal_intersection(ideal("x0", "x1"), ideal("x1", "x2"))
+
+    def no_buchberger(gens):
+        raise AssertionError("a second Buchberger run")
+
+    monkeypatch.setattr(ideals, "groebner_basis", no_buchberger)
+    assert by_hand.groebner_basis() == (X1, X0 * X2)
+    assert by_hand.contains(poly("x0*x1*x2 + x1^3"))
+    assert not by_hand.contains(poly("x0"))
+    assert ideal_equal(by_hand, meet)
+    with pytest.raises(AssertionError, match="second Buchberger"):
+        ideal("x0", "x1").groebner_basis()
+
+
 def test_ideal_json_round_trip():
     i = ideal("x0^2 - 1/2*x1*x2", "x1 - x2")
     data = ideal_to_json(i)
@@ -180,7 +200,7 @@ def small_eliminations(draw):
 def test_eliminate_is_the_kept_part_of_the_full_elimination_basis(case):
     gens, k = case
     keep = VariableBlock(gens[0].block.names[:k])
-    full = groebner_basis(gens, elimination_order(k))
+    full = _reduced_basis(gens, k, False)
     kept = tuple(
         g.restrict_front(keep) for g in full if not any(any(e[k:]) for e in g.terms)
     )

@@ -332,6 +332,20 @@ def test_matrix_budget_is_checked_before_any_row_is_built(monkeypatch):
         hilbert_series_oracle(g, 6, tall)
 
 
+def test_grid_plan_checks_the_matrix_cap_before_any_unit_runs(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("elimination unit ran before the matrix check")
+
+    monkeypatch.setattr(hfg.verify, "grid_elimination_unit", forbidden)
+    # 1891 condition rows; the largest syzygy twist 62 needs C(64, 2) columns
+    g = abstract_grid((1,), (61,))
+    budget = dataclasses.replace(DEFAULT_BUDGET, max_grid_multiplicity=100)
+    with pytest.raises(
+        BudgetExceededError, match=r"^matrix of shape 1891x2016 exceeds budget 2000x2000$"
+    ):
+        check_grid_end_to_end(g, budget)
+
+
 def test_resurgence_skip_builds_no_ideal_power(monkeypatch):
     powers = []
     build = hfg.verify.ideal_power

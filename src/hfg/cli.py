@@ -333,6 +333,8 @@ def verify_command(
 ) -> None:
     """Run every oracle check on a grid; exit 1 if any instance fails."""
     budget = _budget_from_flag(budget_degree)
+    if jobs < 1:
+        raise ParseError("--jobs must be a positive integer")
     g = _load_grid(m, n, grid_path)
     plan = grid_check_plan(g, t_max, budget)
     report = grid_report(g, t_max, _run_verify_jobs(plan, jobs))

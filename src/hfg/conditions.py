@@ -252,13 +252,14 @@ def pivot_columns(matrix) -> list[int]:
     These vectors are independent, so each block's nullity over Q is at
     least its nullity mod p, and the two ranks agree.
 
-    The primes come from ``_primes``, largest first.  Each further prime
-    eliminates only the columns through the last one whose certificate is
-    still pending.  If its pivots there agree with p's, its kernel vectors
-    join the Chinese remaindering; if they show less rank on a leading
-    block, it is skipped; if they show more, p was unlucky and everything
-    restarts at the new prime.  Only finitely many primes divide a nonzero
-    minor or a kernel denominator, so the loop ends with no other route.
+    The primes come from ``_primes``, largest first, and each is
+    eliminated once, over every column.  If a further prime's pivots
+    through the last column whose certificate is still pending agree with
+    p's, its kernel vectors join the Chinese remaindering; if they show
+    less rank on a leading block, it is skipped; if they show more, p was
+    unlucky and everything restarts from the new prime's elimination.  Only
+    finitely many primes divide a nonzero minor or a kernel denominator, so
+    the loop ends with no other route.
     """
     rows = len(matrix)
     width = len(matrix[0]) if rows else 0
@@ -266,15 +267,16 @@ def pivot_columns(matrix) -> list[int]:
         return []
     pending: dict[int, list[int]] = {}
     for p in _primes():
+        p_pivots, tails, size = _echelon_mod(matrix, width, p)
         if pending:
             limit = max(pending) + 1
-            p_pivots, tails, size = _echelon_mod(matrix, limit, p)
             base = pivots[: bisect.bisect_left(pivots, limit)]
-            if p_pivots + [width] > base + [width]:
+            head = p_pivots[: bisect.bisect_left(p_pivots, limit)]
+            if head + [width] > base + [width]:
                 # p shows less rank on a leading block: skip it
                 continue
-        if pending and p_pivots == base:
-            kernel = _kernel_mod(base, tails, size, limit, list(pending), p)
+        if pending and head == base:
+            kernel = _kernel_mod(base, tails, size, width, list(pending), p)
             inverse = pow(modulus, -1, p)
             for (j, old), new in zip(list(pending.items()), kernel):
                 pending[j] = [
@@ -284,7 +286,7 @@ def pivot_columns(matrix) -> list[int]:
         else:
             # the first prime, or one that shows more rank on a leading
             # block than the pivots so far: (re)start at it
-            pivots, tails, size = _echelon_mod(matrix, width, p)
+            pivots = p_pivots
             is_pivot = set(pivots)
             # past the last pivot, full row rank mod p is already exact
             end = pivots[-1] if len(pivots) == rows else width

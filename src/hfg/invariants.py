@@ -14,13 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import DomainError, GridError
-from .fatgrid import (
-    FatGrid,
-    GeneratorPattern,
-    expand_pattern,
-    symbolic_multiplicities,
-)
-from .polycore import IdealPresentation
+from .fatgrid import FatGrid, GeneratorPattern, symbolic_multiplicities
 from .report import CheckInstance, VerificationReport
 
 
@@ -187,13 +181,6 @@ def generator_patterns(g: FatGrid) -> list[GeneratorPattern]:
     return _patterns(g.row_multiplicities, g.col_multiplicities)
 
 
-def pattern_ideal(g: FatGrid) -> IdealPresentation:
-    """Ideal generated by the expanded minimal-generator patterns."""
-    return IdealPresentation.from_polys(
-        *(expand_pattern(g, pat) for pat in generator_patterns(g))
-    )
-
-
 def alpha_degree(g: FatGrid) -> int:
     """Least degree of a generator: sum(M) + (top r entries of N) - r."""
     r = g.shape[0]
@@ -237,7 +224,7 @@ def certificate_depth(t_max) -> int:
     """The resurgence certificate's depth as an int, rejected below 1."""
     t_max = int(t_max)
     if t_max < 1:
-        raise GridError("certificate depth must be a positive integer")
+        raise DomainError("certificate depth must be a positive integer")
     return t_max
 
 

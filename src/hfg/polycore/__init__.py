@@ -11,7 +11,6 @@ from .ideals import (
     ideal_from_json,
     ideal_intersection,
     ideal_power,
-    ideal_sum,
     ideal_to_json,
     irrelevant_power,
     join_ideals,
@@ -41,7 +40,6 @@ __all__ = [
     "ideal_from_json",
     "ideal_intersection",
     "ideal_power",
-    "ideal_sum",
     "ideal_to_json",
     "irrelevant_power",
     "join_ideals",

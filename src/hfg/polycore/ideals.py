@@ -77,12 +77,6 @@ def ideal_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
     return a.groebner_basis() == b.groebner_basis()
 
 
-def ideal_sum(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
-    if a.block != b.block:
-        raise BlockMismatchError("ideals live on different blocks")
-    return IdealPresentation(a.block, a.generators + b.generators)
-
-
 def ideal_power(a: IdealPresentation, m: int) -> IdealPresentation:
     if m < 1:
         raise DomainError("ideal power wants a positive exponent")

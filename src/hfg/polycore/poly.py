@@ -132,14 +132,6 @@ class Polynomial:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def leading_monomial(self) -> Exponents:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_grevlex_key)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
-
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 

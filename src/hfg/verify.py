@@ -28,7 +28,6 @@ from .invariants import (
     certificate_depth,
     generator_patterns,
     hilbert_from_resolution,
-    pattern_ideal,
     resolution,
     resurgence_certificate,
 )
@@ -440,6 +439,13 @@ def grid_structure_unit(g: FatGrid) -> list[CheckInstance]:
             not worst,
         ),
     ]
+
+
+def pattern_ideal(g: FatGrid) -> IdealPresentation:
+    """Ideal generated by the expanded minimal-generator patterns."""
+    return IdealPresentation.from_polys(
+        *(expand_pattern(g, pat) for pat in generator_patterns(g))
+    )
 
 
 def grid_elimination_unit(

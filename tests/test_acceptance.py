@@ -23,7 +23,6 @@ from hfg.invariants import (
     generator_patterns,
     hilbert_from_resolution,
     invariants_report,
-    pattern_ideal,
     resolution,
     resurgence_certificate,
     waldschmidt,
@@ -40,7 +39,7 @@ from hfg.polycore import (
     join_ideals,
 )
 from hfg.projective import Point, hadamard_point, point_ideal
-from hfg.verify import check_grid_end_to_end, hilbert_function_oracle
+from hfg.verify import check_grid_end_to_end, hilbert_function_oracle, pattern_ideal
 
 from conftest import small_grid_profiles
 

@@ -416,5 +416,18 @@ def test_verify_rejects_certificate_depth_before_any_oracle(runner, monkeypatch)
     )
     assert result.exit_code == 2
     assert result.output == (
-        "invalid grid: certificate depth must be a positive integer\n"
+        "domain error: certificate depth must be a positive integer\n"
     )
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one_before_the_grid(runner, monkeypatch, jobs):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid built before the --jobs check")
+
+    monkeypatch.setattr(cli, "abstract_grid", forbidden)
+    result = runner.invoke(
+        cli.main, ["verify", "--m", "1,2", "--n", "1,1", "--jobs", jobs]
+    )
+    assert result.exit_code == 2
+    assert result.output == "input parse error: --jobs must be a positive integer\n"

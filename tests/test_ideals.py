@@ -20,7 +20,6 @@ from hfg.polycore import (
     ideal_from_json,
     ideal_intersection,
     ideal_power,
-    ideal_sum,
     ideal_to_json,
     irrelevant_power,
     join_ideals,
@@ -75,11 +74,6 @@ def test_intersection_fold_order_is_irrelevant():
     left = reduce(ideal_intersection, parts)
     right = reduce(ideal_intersection, reversed(parts))
     assert ideal_equal(left, right)
-
-
-def test_ideal_sum():
-    s = ideal_sum(ideal("x0"), ideal("x1", "x2"))
-    assert ideal_equal(s, ideal("x0", "x1", "x2"))
 
 
 def test_join_of_irrelevant_powers():

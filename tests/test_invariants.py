@@ -25,7 +25,6 @@ from hfg.invariants import (
     hilbert_from_resolution,
     invariants_report,
     is_totally_ordered,
-    pattern_ideal,
     resolution,
     resurgence_certificate,
     s_tuples,
@@ -33,7 +32,7 @@ from hfg.invariants import (
     waldschmidt,
 )
 from hfg.polycore import ideal_equal
-from hfg.verify import grid_elimination_unit
+from hfg.verify import grid_elimination_unit, pattern_ideal
 
 EXAMPLE_ALPHA = (21, 21, 17, 17, 17, 13, 13, 13, 9, 9, 9, 5, 5, 5, 2, 2, 2)
 EXAMPLE_V = {(2, 21), (5, 17), (8, 13), (11, 9), (14, 5), (17, 2)}

@@ -253,13 +253,16 @@ def pivot_columns(matrix) -> list[int]:
     least its nullity mod p, and the two ranks agree.
 
     The primes come from ``_primes``, largest first, and each is
-    eliminated once, over every column.  If a further prime's pivots
-    through the last column whose certificate is still pending agree with
-    p's, its kernel vectors join the Chinese remaindering; if they show
-    less rank on a leading block, it is skipped; if they show more, p was
-    unlucky and everything restarts from the new prime's elimination.  Only
-    finitely many primes divide a nonzero minor or a kernel denominator, so
-    the loop ends with no other route.
+    eliminated once: over every column, or through the last pivot once the
+    pivots so far have full row rank, as every pending column then lies
+    before it.  If a further prime's pivots through the last column whose
+    certificate is still pending agree with p's, its kernel vectors join
+    the Chinese remaindering; if they show less rank on a leading block, it
+    is skipped; if they show more, p was unlucky and everything restarts
+    from the new prime's elimination, unless that elimination stopped at
+    the last pivot short of full row rank, when the prime is skipped too.
+    Only finitely many primes divide a nonzero minor or a kernel
+    denominator, so the loop ends with no other route.
     """
     rows = len(matrix)
     width = len(matrix[0]) if rows else 0
@@ -267,7 +270,9 @@ def pivot_columns(matrix) -> list[int]:
         return []
     pending: dict[int, list[int]] = {}
     for p in _primes():
-        p_pivots, tails, size = _echelon_mod(matrix, width, p)
+        # with full row rank the blocks past the last pivot are exact
+        used = pivots[-1] + 1 if pending and len(pivots) == rows else width
+        p_pivots, tails, size = _echelon_mod(matrix, used, p)
         if pending:
             limit = max(pending) + 1
             base = pivots[: bisect.bisect_left(pivots, limit)]
@@ -275,8 +280,12 @@ def pivot_columns(matrix) -> list[int]:
             if head + [width] > base + [width]:
                 # p shows less rank on a leading block: skip it
                 continue
+            if head != base and len(p_pivots) < rows and used < width:
+                # more rank early, but short of full row rank at the cut,
+                # so no pivots past it to restart from
+                continue
         if pending and head == base:
-            kernel = _kernel_mod(base, tails, size, width, list(pending), p)
+            kernel = _kernel_mod(base, tails, size, used, list(pending), p)
             inverse = pow(modulus, -1, p)
             for (j, old), new in zip(list(pending.items()), kernel):
                 pending[j] = [
@@ -293,7 +302,7 @@ def pivot_columns(matrix) -> list[int]:
             needed = [j for j in range(end) if j not in is_pivot]
             if not needed:
                 return pivots
-            kernel = _kernel_mod(pivots, tails, size, width, needed, p)
+            kernel = _kernel_mod(pivots, tails, size, used, needed, p)
             pending = dict(zip(needed, kernel))
             modulus = p
         _drop_certified(matrix, pivots, pending, modulus)

@@ -172,27 +172,42 @@ def _to_int_poly(p: Polynomial, pk: _Packing) -> tuple[IntPoly, int]:
     return ints, den
 
 
-def _reduce(f: IntPoly, rows: Sequence[_Row], pk: _Packing) -> tuple[IntPoly, int]:
+def _reduce(
+    f: IntPoly, rows: Sequence[_Row], pk: _Packing, memo: dict[int, int]
+) -> tuple[IntPoly, int]:
     """Full normal form of f, fraction-free, dividing by the first reducer.
 
     Returns (rem, scale) with rem = scale * (the rational remainder of f).
+    `memo` maps a key K to the index of its first dividing row, or, when
+    no row divides it, to ~len(rows) at the time.  Calls may share a memo
+    as long as `rows` only grows between them.
     """
     guard, cap = pk.guard, pk.cap
+    n = len(rows)
     rem: IntPoly = {}
     work = dict(f)
     scale = 1
     while work:
         m = max(work)
         c = work.pop(m)
-        em = pk.exps(m)
-        for row in rows:
-            if not (em - row.e) & guard:
-                break
+        idx = memo.get(m, -1)
+        if idx < 0:
+            # not seen, or seen with no divisor: scan the rows appended since
+            em = pk.exps(m)
+            for idx in range(~idx, n):
+                if not (em - rows[idx].e) & guard:
+                    break
+            else:
+                memo[m] = ~n
+                rem[m] = c
+                continue
+            row = rows[idx]
+            if row.reach > 0 and pk.degree(em) + row.reach >= cap:
+                raise _Overflow
+            memo[m] = idx
         else:
-            rem[m] = c
-            continue
-        if row.reach > 0 and pk.degree(em) + row.reach >= cap:
-            raise _Overflow
+            # the overflow check passed for this monomial and row when stored
+            row = rows[idx]
         d = gcd(c, row.lc)
         a = row.lc // d
         b = c // d
@@ -240,44 +255,51 @@ def _spoly(r1: _Row, r2: _Row, pair: _Pair, pk: _Packing) -> IntPoly:
 
 def _update(G: list[_Row], P: list[_Pair], row: _Row, pk: _Packing) -> list[_Pair]:
     """Gebauer-Moeller update of the pair set when appending `row` to G."""
-    guard, lcm = pk.guard, pk.lcm
+    guard, w1 = pk.guard, pk.width - 1
+    ones, top, field = pk._ones, pk._top, pk._field
     t = len(G)
     ef = row.e
-    kept: list[_Pair] = []
-    for pair in P:
-        _, _, i, j, el = pair
-        # chain criterion: the new element makes this pair redundant unless
-        # one of its own pairs has the same lcm
-        if (
-            not (el - ef) & guard
-            and lcm(G[i].e, ef) != el
-            and lcm(G[j].e, ef) != el
-        ):
-            continue
-        kept.append(pair)
-    groups: dict[int, list[int]] = {}
-    for i in range(t):
-        groups.setdefault(lcm(G[i].e, ef), []).append(i)
+    # the new row's lcm with each row, the per-field max of _Packing.lcm
+    lcms = []
+    for r in G:
+        ge = ((ef | guard) - r.e) & guard
+        lcms.append(r.e ^ ((ef ^ r.e) & (ge - (ge >> w1))))
+    # chain criterion: the new element makes a pair redundant unless one of
+    # its own pairs has the same lcm
+    kept = [
+        pair
+        for pair in P
+        if (pair[4] - ef) & guard or lcms[pair[2]] == pair[4] or lcms[pair[3]] == pair[4]
+    ]
+    # each lcm's lowest index, or None once a row in its group has a
+    # leading monomial coprime to the new one (product criterion: such
+    # pairs reduce to zero)
+    first: dict[int, int | None] = {}
+    for i, el in enumerate(lcms):
+        if G[i].e + ef == el:
+            first[el] = None
+        else:
+            first.setdefault(el, i)
     # keep the lcms no other lcm properly divides.  E as an int is a lex
     # order, so a proper divisor comes first, and by transitivity testing
     # against the minimal ones found so far suffices.
     minimal: list[int] = []
-    for el in sorted(groups):
+    for el in sorted(first):
         for m in minimal:
             if not (el - m) & guard:
                 break
         else:
             minimal.append(el)
+    excess = row.sugar - (((ef * ones) >> top) & field)
     for el in minimal:
-        idxs = groups[el]
-        # product criterion: coprime leading monomials reduce to zero
-        if any(G[i].e + ef == el for i in idxs):
+        i = first[el]
+        if i is None:
             continue
-        deg = pk.degree(el)
+        deg = ((el * ones) >> top) & field
         if deg >= pk.cap:
             raise _Overflow
-        i = min(idxs)
-        sugar = max(G[i].sugar - pk.degree(G[i].e), row.sugar - pk.degree(ef)) + deg
+        r = G[i]
+        sugar = max(r.sugar - (((r.e * ones) >> top) & field), excess) + deg
         kept.append((sugar, pk.key(el), i, t, el))
     G.append(row)
     heapq.heapify(kept)
@@ -294,7 +316,7 @@ def _interreduce(G: list[_Row], pk: _Packing) -> list[_Row]:
     final: list[_Row] = []
     for idx, r in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        red, _ = _reduce(r.terms, others, pk)
+        red, _ = _reduce(r.terms, others, pk, {})
         final.append(_Row(_primitive(red), pk))
     final.sort(key=lambda r: r.lm)
     return final
@@ -303,14 +325,16 @@ def _interreduce(G: list[_Row], pk: _Packing) -> list[_Row]:
 def _buchberger(polys: list[IntPoly], pk: _Packing) -> list[_Row]:
     G: list[_Row] = []
     P: list[_Pair] = []
+    # G only grows, so one first-divisor memo serves every reduction
+    memo: dict[int, int] = {}
     for f in polys:
-        r = _primitive(_reduce(f, G, pk)[0])
+        r = _primitive(_reduce(f, G, pk, memo)[0])
         if r:
             P = _update(G, P, _Row(r, pk), pk)
     while P:
         pair = heapq.heappop(P)
         s = _spoly(G[pair[2]], G[pair[3]], pair, pk)
-        r = _primitive(_reduce(s, G, pk)[0])
+        r = _primitive(_reduce(s, G, pk, memo)[0])
         if r:
             P = _update(G, P, _Row(r, pk, pair[0]), pk)
     return G
@@ -404,10 +428,11 @@ def normal_forms(
 
     def run(pk: _Packing) -> list[Polynomial]:
         rows = [_Row(_primitive(_to_int_poly(g, pk)[0]), pk) for g in nonzero]
+        memo: dict[int, int] = {}
 
         def remainder(f: Polynomial) -> Polynomial:
             num, den = _to_int_poly(f, pk)
-            rem, scale = _reduce(num, rows, pk)
+            rem, scale = _reduce(num, rows, pk, memo)
             den *= scale
             return Polynomial(f.block, {pk.unpack(k): Fraction(c, den) for k, c in rem.items()})
 

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfg.errors import BlockMismatchError
 from hfg.polycore import (
@@ -16,8 +18,17 @@ from hfg.polycore import (
     normal_form,
     variables,
 )
-from hfg.polycore import groebner
-from hfg.polycore.groebner import _Packing, _reduced_basis, normal_forms
+from hfg.polycore import groebner, hadamard_ideals, ideal_power
+from hfg.polycore.groebner import (
+    _Packing,
+    _reduce,
+    _reduced_basis,
+    _Row,
+    _primitive,
+    _to_int_poly,
+    normal_forms,
+)
+from hfg.projective import Point, point_ideal
 
 X0, X1, X2 = variables(PLANE)
 
@@ -268,3 +279,64 @@ def test_pinned_reduced_bases():
     for gens, pinned in ((a, GREVLEX_BASIS), (d, INHOMOGENEOUS_GREVLEX_BASIS)):
         assert [g.to_json_terms() for g in groebner_basis(gens)] == pinned
     assert [g.to_json_terms() for g in _reduced_basis(b, 3, False)] == ELIM_BASIS
+
+
+# -- the first-divisor memo of _reduce ----------------------------------------
+
+_INT_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4),
+    st.integers(-6, 6).filter(bool),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    front=st.sampled_from([0, 2]),
+    batches=st.lists(st.lists(_INT_POLYS, max_size=3), min_size=1, max_size=4),
+    fs=st.lists(_INT_POLYS, min_size=1, max_size=4),
+)
+def test_a_shared_memo_reduces_like_a_fresh_one(front, batches, fs):
+    # rows are appended between calls, as Buchberger appends to its basis
+    pk = _Packing(front, 4, 16)
+    fs = [{pk.pack(e): c for e, c in f.items()} for f in fs]
+    rows: list[_Row] = []
+    memo: dict[int, int] = {}
+    for batch in batches:
+        rows += [_Row(_primitive({pk.pack(e): c for e, c in g.items()}), pk) for g in batch]
+        for f in fs:
+            assert _reduce(f, rows, pk, memo) == _reduce(f, rows, pk, {})
+
+
+def test_a_memo_hit_on_a_row_with_positive_reach():
+    # under the block order t - x0**100 has leading monomial t and reach 99;
+    # the first term popped from t + 3*x1 is then a memo hit, so no exponent
+    # of it is ever unpacked and no overflow check runs on it
+    x0, x1, t = variables(XT)
+    pk = _Packing(2, 3, 10)
+    row = _Row(_to_int_poly(t - x0**100, pk)[0], pk)
+    assert row.reach == 99
+    memo: dict[int, int] = {}
+    rem, scale = _reduce({pk.pack((0, 0, 1)): 1}, [row], pk, memo)
+    assert (rem, scale) == ({pk.pack((100, 0, 0)): 1}, 1)
+    assert memo[pk.pack((0, 0, 1))] == 0
+    f = _to_int_poly(t + 3 * x1, pk)[0]
+    assert _reduce(f, [row], pk, memo) == _reduce(f, [row], pk, {})
+    assert _reduce(f, [row], pk, memo) == ({pk.pack((100, 0, 0)): 1, pk.pack((0, 1, 0)): 3}, 1)
+
+
+def test_s_polynomial_count_of_a_hadamard_elimination(monkeypatch):
+    # the pairs reduced and their order are pinned by how many there are
+    count = 0
+    spoly = groebner._spoly
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return spoly(*args)
+
+    monkeypatch.setattr(groebner, "_spoly", counted)
+    P, Q = Point.from_string("-1:2:-1"), Point.from_string("-4:2:1")
+    hadamard_ideals(ideal_power(point_ideal(P), 2), ideal_power(point_ideal(Q), 3))
+    assert count == 633

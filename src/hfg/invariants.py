@@ -58,12 +58,6 @@ class CornerSets:
         if len(self.V) != len(self.C) - 1:
             raise GridError("corner sets must satisfy |V| = |C| - 1")
 
-    def sorted_c(self) -> list[tuple[int, int]]:
-        return sorted(self.C)
-
-    def sorted_v(self) -> list[tuple[int, int]]:
-        return sorted(self.V)
-
 
 @dataclass(frozen=True)
 class ResolutionShifts:
@@ -327,8 +321,8 @@ def invariants_report(g: FatGrid, t_max: int = 2) -> dict:
         )
     return {
         "alpha_tuple": list(tup.entries),
-        "C": [list(pair) for pair in corners.sorted_c()],
-        "V": [list(pair) for pair in corners.sorted_v()],
+        "C": [list(pair) for pair in sorted(corners.C)],
+        "V": [list(pair) for pair in sorted(corners.V)],
         "generator_twists": list(shifts.generator_twists),
         "syzygy_twists": list(shifts.syzygy_twists),
         "alpha": alpha_degree(g),

@@ -6,7 +6,6 @@ from .ideals import (
     eliminate,
     hadamard_ideals,
     hadamard_transform,
-    hadamard_transform_ideal,
     ideal_equal,
     ideal_from_json,
     ideal_intersection,
@@ -35,7 +34,6 @@ __all__ = [
     "groebner_basis",
     "hadamard_ideals",
     "hadamard_transform",
-    "hadamard_transform_ideal",
     "ideal_equal",
     "ideal_from_json",
     "ideal_intersection",

@@ -6,7 +6,7 @@ coefficient, which keeps the inner loop in machine-int / bigint arithmetic.
 Monomials are packed into ints once per call (see _Packing), so multiplying
 monomials is an integer add, comparing them is an integer compare and
 testing divisibility is a mask test.  The monomial order is grevlex;
-`_elimination_basis` puts a tail block of variables above it.  Pairs are
+`_reduced_basis` can put a tail block of variables above it.  Pairs are
 selected by lowest sugar (Giovini, Mora, Niesi, Robbiano and Traverso, "One
 sugar cube, please", ISSAC 1991), ties broken by the monomial order of the
 lcm and then by pair index, so runs are deterministic.  The sugar of an
@@ -372,23 +372,17 @@ def groebner_basis(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     return _reduced_basis(gens, 0, False)
 
 
-def _elimination_basis(gens: Sequence[Polynomial], front: int) -> tuple[Polynomial, ...]:
-    """The elements of the reduced basis under the block order of
-    _Packing(front, ...) that involve only the first `front` variables.
-
-    By the elimination property, a row whose leading monomial avoids the
-    other variables has no term in them, and only such rows have leading
-    monomials that divide its terms, so the other rows are dropped before
-    interreduction.
-    """
-    return _reduced_basis(gens, front, True)
-
-
 def _reduced_basis(
     gens: Sequence[Polynomial], front: int, kept_only: bool
 ) -> tuple[Polynomial, ...]:
     """Reduced monic basis under the order of _Packing(front, ...); with
-    `kept_only`, just its elements in the first `front` variables."""
+    `kept_only`, just its elements in the first `front` variables.
+
+    By the elimination property, a row whose leading monomial avoids the
+    other variables has no term in them, and only such rows have leading
+    monomials that divide its terms, so with `kept_only` the other rows are
+    dropped before interreduction.
+    """
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         return ()

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import BlockMismatchError, DomainError, ParseError
-from .groebner import _elimination_basis, groebner_basis, normal_form, normal_forms
+from .groebner import _reduced_basis, groebner_basis, normal_form, normal_forms
 from .poly import PLANE, Polynomial, VariableBlock, monomials_of_degree
 
 
@@ -114,7 +114,7 @@ def eliminate(
     k = keep.arity
     if ext.names[:k] != keep.names:
         raise BlockMismatchError("kept block is not the leading segment")
-    restricted = tuple(g.restrict_front(keep) for g in _elimination_basis(gens, k))
+    restricted = tuple(g.restrict_front(keep) for g in _reduced_basis(gens, k, True))
     result = IdealPresentation(keep, restricted)
     result._basis = restricted
     return result
@@ -180,16 +180,6 @@ def hadamard_transform(f: Polynomial, point: Sequence) -> Polynomial:
     if not f.is_homogeneous():
         raise DomainError("Hadamard transform is defined for homogeneous forms")
     return f.scale_variables([1 / c for c in coords])
-
-
-def hadamard_transform_ideal(
-    a: IdealPresentation, point: Sequence
-) -> IdealPresentation:
-    """Generator-by-generator transform; presents I(P) star I for P off the
-    coordinate lines."""
-    return IdealPresentation(
-        a.block, [hadamard_transform(g, point) for g in a.generators]
-    )
 
 
 def irrelevant_power(t: int, block: VariableBlock = PLANE) -> IdealPresentation:

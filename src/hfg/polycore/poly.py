@@ -110,10 +110,9 @@ class Polynomial:
             raise ValueError("coefficient count must match block arity")
         terms: dict[Exponents, Scalar] = {}
         for i, c in enumerate(coeffs):
-            if c:
-                exps = [0] * block.arity
-                exps[i] = 1
-                terms[tuple(exps)] = c
+            exps = [0] * block.arity
+            exps[i] = 1
+            terms[tuple(exps)] = c
         return cls(block, terms)
 
     # -- basic queries -----------------------------------------------------
@@ -132,9 +131,6 @@ class Polynomial:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_block(self, other: "Polynomial") -> None:
@@ -147,11 +143,7 @@ class Polynomial:
         self._check_block(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            v = terms.get(exps, 0) + c
-            if v:
-                terms[exps] = v
-            else:
-                terms.pop(exps, None)
+            terms[exps] = terms.get(exps, 0) + c
         return Polynomial(self.block, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -172,11 +164,7 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = monomial_mul(e1, e2)
-                v = terms.get(e, 0) + c1 * c2
-                if v:
-                    terms[e] = v
-                else:
-                    terms.pop(e, None)
+                terms[e] = terms.get(e, 0) + c1 * c2
         return Polynomial(self.block, terms)
 
     __rmul__ = __mul__
@@ -207,19 +195,6 @@ class Polynomial:
 
     # -- substitution ------------------------------------------------------
 
-    def evaluate(self, coords: Sequence[Scalar]) -> Fraction:
-        if len(coords) != self.block.arity:
-            raise ValueError("coordinate count must match block arity")
-        values = [Fraction(c) for c in coords]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(values, exps):
-                if e:
-                    v *= x**e
-            total += v
-        return total
-
     def scale_variables(self, factors: Sequence[Scalar]) -> "Polynomial":
         """Substitute x_i -> factors[i] * x_i."""
         if len(factors) != self.block.arity:
@@ -231,8 +206,7 @@ class Polynomial:
             for f, e in zip(fs, exps):
                 if e:
                     v *= f**e
-            if v:
-                terms[exps] = v
+            terms[exps] = v
         return Polynomial(self.block, terms)
 
     def embed(self, target: VariableBlock, offset: int) -> "Polynomial":
@@ -294,11 +268,7 @@ class Polynomial:
                 i = block.index(m.group(1))
                 exps[i] += int(m.group(2) or 1)
             key = tuple(exps)
-            v = terms.get(key, Fraction(0)) + coeff
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, 0) + coeff
         return cls(block, terms)
 
     def _sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
@@ -357,11 +327,7 @@ class Polynomial:
                 raise ParseError(f"term {item!r} needs non-negative integer exponents")
             if len(key) != block.arity:
                 raise ParseError(f"term {item!r} does not match block arity")
-            v = terms.get(key, Fraction(0)) + coeff
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, 0) + coeff
         return cls(block, terms)
 
     def __repr__(self) -> str:

@@ -2,8 +2,7 @@
 
 Coordinates are stored normalized: the first nonzero coordinate is 1, so
 structural equality is projective equality.  Points behave as coordinate
-sequences, which lets them feed directly into polynomial evaluation and the
-Hadamard transform.
+sequences, which lets them feed directly into the Hadamard transform.
 
 The Hadamard product of two points is the coordinatewise product; it is
 undefined (returns None) exactly when every coordinate product vanishes.
@@ -110,12 +109,6 @@ def hadamard_point(p: Point, q: Point) -> Point | None:
 
 def delta_index(p: Point) -> int:
     return sum(1 for c in p.coords if c != 0) - 1
-
-
-def reciprocal(p: Point) -> Point:
-    if delta_index(p) < 2:
-        raise DomainError("reciprocal needs a point with no zero coordinate")
-    return Point([1 / c for c in p.coords])
 
 
 def point_ideal(p: Point) -> IdealPresentation:

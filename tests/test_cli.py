@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from concurrent.futures import Future
 
 import pytest
@@ -431,3 +432,60 @@ def test_verify_rejects_jobs_below_one_before_the_grid(runner, monkeypatch, jobs
     )
     assert result.exit_code == 2
     assert result.output == "input parse error: --jobs must be a positive integer\n"
+
+
+def _table_rows(text):
+    """The cells of an aligned table: columns are padded and joined by two
+    spaces, and no cell holds two spaces in a row."""
+    return [re.split(r" {2,}", line.rstrip()) for line in text.splitlines()]
+
+
+def test_verify_table_has_one_row_per_json_instance(runner):
+    args = ["verify", "--m", "1,2", "--n", "1,1", "--t-max", "2"]
+    data = json.loads(invoke(runner, *args).output)
+    table = invoke(runner, *args, "--format", "table").output
+    head, rows = table.split("\n\n")
+    assert head.splitlines() == [
+        "subject: %s" % data["subject"],
+        "passed: yes",
+        "checks: %d" % data["checks"],
+    ]
+    header, *cells = _table_rows(rows)
+    assert header == ["label", "expected", "computed", "passed", "flag"]
+    assert [row[:3] for row in cells] == [
+        [inst["label"], inst["expected"], inst["computed"]]
+        for inst in data["instances"]
+    ]
+    assert len(cells) == data["checks"]
+
+
+def test_generators_table_has_one_row_per_pattern(runner):
+    args = ["generators", "--m", "1,2", "--n", "1"]
+    data = json.loads(invoke(runner, *args).output)
+    header, *cells = _table_rows(invoke(runner, *args, "--format", "table").output)
+    assert header == list(data[0])
+    assert cells == [
+        [
+            " ".join(map(str, v)) if isinstance(v, list) else str(v)
+            for v in pattern.values()
+        ]
+        for pattern in data
+    ]
+
+
+def test_grid_table_joins_coordinates_with_colons(runner):
+    args = ["grid", "--m", "1,2", "--n", "1"]
+    data = json.loads(invoke(runner, *args).output)
+    table = dict(
+        line.split(None, 1)
+        for line in invoke(runner, *args, "--format", "table").output.splitlines()
+    )
+    points = [":".join(p) for p in data["col_points"]]
+    assert table["col_points"] == " ".join(points) == "1:1:2 1:1:3"
+    assert table["row_points"] == ":".join(data["row_points"][0])
+    assert table["row_line"] == ":".join(data["row_line"]) == "1:0:-1"
+    assert table["grid_points"] == " | ".join(
+        ":".join(p) for p in data["grid_points"][0]
+    )
+    assert table["v_lines"] == " ".join(":".join(c) for c in data["v_lines"])
+    assert table["mult"] == "1 2"

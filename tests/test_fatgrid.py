@@ -24,7 +24,7 @@ from hfg.fatgrid import (
 )
 from hfg.invariants import generator_patterns
 from hfg.polycore import ideal_equal, ideal_intersection, ideal_power
-from hfg.projective import Point, hadamard_point, line_through, point_ideal, reciprocal
+from hfg.projective import Point, hadamard_point, line_through, point_ideal
 
 COLLINEAR = [Point((1, 1, 2)), Point((1, 1, 3)), Point((1, 1, 4))]
 
@@ -158,7 +158,7 @@ def test_duplicate_grid_point_rejected():
     p1, p2 = Point((1, 1, 2)), Point((1, 1, 3))
     q1 = Point((1, 2, 1))
     # Choose Q2 so that P2 * Q2 = P1 * Q1.
-    q2 = hadamard_point(hadamard_point(q1, p1), reciprocal(p2))
+    q2 = hadamard_point(hadamard_point(q1, p1), Point([1 / c for c in p2]))
     rows = WeightedPointSet.make([p1, p2], [1, 1])
     cols = WeightedPointSet.make([q1, q2], [1, 1])
     assert q2 is not None

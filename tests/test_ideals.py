@@ -15,7 +15,7 @@ from hfg.polycore import (
     VariableBlock,
     eliminate,
     hadamard_ideals,
-    hadamard_transform_ideal,
+    hadamard_transform,
     ideal_equal,
     ideal_from_json,
     ideal_intersection,
@@ -133,7 +133,9 @@ def test_hadamard_transform_generates_point_product():
     # I(P) * I when P has no zero coordinate.
     p = Point((1, Fraction(2), Fraction(3)))
     i = ideal_power(point_ideal(Point((1, 1, 2))), 2)
-    transformed = hadamard_transform_ideal(i, p)
+    transformed = IdealPresentation(
+        i.block, [hadamard_transform(g, p) for g in i.generators]
+    )
     assert ideal_equal(transformed, hadamard_ideals(point_ideal(p), i))
 
 

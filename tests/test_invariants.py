@@ -6,7 +6,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+import hfg.cli as cli
+import hfg.invariants
 import hfg.verify
 from hfg.budget import DEFAULT_BUDGET
 from hfg.errors import DomainError, GridError
@@ -276,3 +279,47 @@ def test_invariants_report_runs_no_oracle(monkeypatch):
                 monkeypatch.setattr(module, name, forbidden)
     report = invariants_report(abstract_grid((1, 2), (1, 2)), t_max=2)
     assert report["resurgence"] == 1
+
+
+def _unbalance_the_split(monkeypatch):
+    monkeypatch.setattr(
+        hfg.invariants, "_balanced_split", lambda k, t: [k] + [0] * (t - 1)
+    )
+
+
+def test_resurgence_certificate_reports_a_pattern_mismatch(monkeypatch):
+    _unbalance_the_split(monkeypatch)
+    report = resurgence_certificate(abstract_grid((1, 2), (1, 1)), 2)
+    assert not report.passed
+    assert [(inst.computed, inst.passed) for inst in report.failures()] == [
+        ("mismatch at k=[2, 3, 4]", False)
+    ]
+
+
+def test_resurgence_certificate_reports_undominated_products(monkeypatch):
+    multiplicities = hfg.invariants.symbolic_multiplicities
+
+    def padded(g, t):
+        # one more on every column multiplicity of the symbolic grids
+        m, n = multiplicities(g, t)
+        return m, [x + (t > 1) for x in n]
+
+    monkeypatch.setattr(hfg.invariants, "symbolic_multiplicities", padded)
+    report = resurgence_certificate(abstract_grid((1, 2), (1, 1)), 2)
+    assert [inst.computed for inst in report.failures()] == [
+        "a'=[5, 3], b'=[0, 0], 6 patterns",
+        "mismatch at k=[0, 1, 2, 3, 4]",
+        "failures at [(0, 0), (0, 1), (0, 2)]",
+    ]
+
+
+def test_failed_certificate_is_an_invalid_grid(monkeypatch):
+    _unbalance_the_split(monkeypatch)
+    with pytest.raises(GridError, match="resurgence certificate failed: t=2: "):
+        invariants_report(abstract_grid((1, 2), (1, 1)))
+    result = CliRunner().invoke(cli.main, ["invariants", "--m", "1,2", "--n", "1,1"])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        "invalid grid: resurgence certificate failed: t=2: every symbolic"
+        " pattern is the balanced t-fold product of base patterns\n"
+    )

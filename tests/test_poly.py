@@ -72,11 +72,6 @@ def test_homogeneity_and_degree():
     assert Polynomial.zero(PLANE).total_degree() == -1
 
 
-def test_evaluation():
-    p = X0 * X0 + X1 - X2
-    assert p.evaluate((Fraction(2), Fraction(1), Fraction(3))) == Fraction(2)
-
-
 def test_block_mismatch_rejected():
     other = VariableBlock(("y0", "y1"))
     q = Polynomial.from_string(other, "y0 + y1")
@@ -88,7 +83,7 @@ def test_power_operator():
     p = X0 - X1
     assert p ** 1 == p
     assert p ** 2 == p * p
-    assert (p ** 3).coefficient((2, 1, 0)) == Fraction(-3)
+    assert (p ** 3).terms[(2, 1, 0)] == Fraction(-3)
 
 
 def test_hadamard_transform_rescales_coefficients():

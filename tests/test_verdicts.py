@@ -43,6 +43,8 @@ CASES = {
     "(2,2)": (check_point_power_product, ((1, 2, 3), (2, 1, 1), 2, 2)),
     "unit powers": (check_point_power_product, ((1, 2, 3), (2, 1, 1), 1, 1)),
     "(2,0) m=1": (check_point_power_product, ((1, 2, 3), (1, 0, 0), 1, 2)),
+    # the lower stratum first: the check swaps the points and the powers
+    "(0,2) swapped": (check_point_power_product, ((1, 0, 0), (1, 2, 3), 2, 1)),
     "(2,0) m>1": (check_point_power_product, ((1, 2, 3), (1, 0, 0), 2, 1)),
     "(2,1) m=1": (check_point_power_product, ((1, 2, 3), (1, 1, 0), 1, 2)),
     "(2,1) m>1": (check_point_power_product, ((1, 2, 3), (1, 1, 0), 2, 1)),
@@ -64,6 +66,7 @@ PINNED = {
         (EQUALS_TARGET, "equal", None, EQUAL, DIFFERENT),
     ],
     "(2,0) m=1": [(EQUALS_Q_POWER, "equal", None, EQUAL, DIFFERENT)],
+    "(0,2) swapped": [(EQUALS_Q_POWER, "equal", None, EQUAL, DIFFERENT)],
     "(2,0) m>1": [
         (
             EQUALS_Q_POWER,
@@ -215,3 +218,9 @@ def test_verdict_words_are_pinned(monkeypatch, case, forced):
         for label, expected, flag, words, forced_words in PINNED[case]
     ]
     assert got == want
+
+
+def test_lower_stratum_first_names_the_swapped_strata_and_powers():
+    check, args = CASES["(0,2) swapped"]
+    report = check(*(Point(a) if isinstance(a, tuple) else a for a in args))
+    assert report.subject == "power product: strata (2,0), powers (1,2)"

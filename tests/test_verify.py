@@ -189,6 +189,51 @@ def test_pivot_found_by_the_first_prime_that_does_not_divide_it(monkeypatch):
     assert used == primes
 
 
+def _kernel_primes(monkeypatch):
+    """Record the prime of every kernel that joins the Chinese remaindering."""
+    primes = []
+    kernel = hfg.conditions._kernel_mod
+
+    def recorded(pivots, tails, size, width, needed, p):
+        primes.append(p)
+        return kernel(pivots, tails, size, width, needed, p)
+
+    monkeypatch.setattr(hfg.conditions, "_kernel_mod", recorded)
+    return primes
+
+
+_SMALL_PRIMES = [7, 5, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+@pytest.mark.parametrize(
+    "matrix, used_first, kernels_first",
+    [
+        # (a) the kernel vector (-3/5, 1) does not lift mod 7 alone; 5 kills
+        # column 0, less rank on a leading block, so 5 is skipped and 11
+        # joins 7 in the Chinese remaindering
+        ([[5, 3], [10, 6]], [7, 5, 11], [7, 11]),
+        # (b) mod 7 the pivots [0, 2, 3] have full row rank with column 1
+        # pending; mod 5 column 1 is a pivot, more rank early, but columns
+        # 0..3 have rank 2 < 3 at the cut, so 5 is skipped; 11 restarts
+        (
+            [[2, 1, 0, -2, 0], [-2, -1, 0, -3, -3], [-1, -4, -2, 1, -1]],
+            [7, 5, 11],
+            [7, 11],
+        ),
+    ],
+)
+def test_a_prime_whose_pivots_disagree_is_skipped(
+    monkeypatch, matrix, used_first, kernels_first
+):
+    monkeypatch.setattr(hfg.conditions, "_primes", lambda: iter(_SMALL_PRIMES))
+    used = _primes_used(monkeypatch)
+    kernels = _kernel_primes(monkeypatch)
+    assert pivot_columns(matrix) == _reference_pivot_columns(matrix)
+    assert used[:3] == used_first
+    assert kernels[:2] == kernels_first
+    assert 5 not in kernels
+
+
 def _low_rank_matrices():
     """Products of random integer factors, some entries multiples of the
     first prime, so the rank mod that prime can drop."""

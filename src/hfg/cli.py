@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 
@@ -300,6 +299,9 @@ def invariants_command(m, n, grid_path, t_max, output_format) -> None:
 def _run_verify_jobs(jobs, worker_count: int) -> list:
     if worker_count <= 1:
         return [fn(*args) for fn, args in jobs]
+    # imported here so that a serial run never loads the pool's modules
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(worker_count, len(jobs))) as pool:
         futures = [pool.submit(fn, *args) for fn, args in jobs]
         return [f.result() for f in futures]

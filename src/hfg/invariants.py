@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add, ge
 
 from .errors import DomainError, GridError
 from .fatgrid import FatGrid, GeneratorPattern, symbolic_multiplicities
@@ -140,13 +141,16 @@ def corner_sets(a: AlphaTuple) -> CornerSets:
     return CornerSets(frozenset(c), frozenset(v))
 
 
-def resolution(g: FatGrid) -> ResolutionShifts:
-    """Twists of the grid ideal's minimal free resolution, from the corners."""
-    corners = corner_sets(alpha_tuple(g))
+def _resolution_from_corners(corners: CornerSets) -> ResolutionShifts:
     return ResolutionShifts(
         tuple(sorted(c1 + c2 for c1, c2 in corners.C)),
         tuple(sorted(v1 + v2 for v1, v2 in corners.V)),
     )
+
+
+def resolution(g: FatGrid) -> ResolutionShifts:
+    """Twists of the grid ideal's minimal free resolution, from the corners."""
+    return _resolution_from_corners(corner_sets(alpha_tuple(g)))
 
 
 def _bounds(M, N) -> tuple[list[int], list[int]]:
@@ -155,6 +159,12 @@ def _bounds(M, N) -> tuple[list[int], list[int]]:
     a = [M[r - 1 - i] + N[-1] - 1 for i in range(r)]
     b = [N[s - 1 - j] - N[-1] for j in range(s)]
     return a, b
+
+
+def _exponent_row(a, b, k) -> tuple[int, ...]:
+    """Pattern k's exponents as one row: (a_i - k)_+ for every i, then
+    (b_j + k)_+ for every j."""
+    return tuple(max(x - k, 0) for x in a) + tuple(max(y + k, 0) for y in b)
 
 
 def _patterns(M, N) -> list[GeneratorPattern]:
@@ -238,6 +248,11 @@ def resurgence_certificate(g: FatGrid, t_max: int) -> VerificationReport:
     checks = []
     base_patterns = generator_patterns(g)
     a, b = _bounds(g.row_multiplicities, g.col_multiplicities)
+    rows = [pat.h_exponents + pat.v_exponents for pat in base_patterns]
+    zero = (0,) * (len(a) + len(b))
+    # (combo, sum(combo), exponent row) of every (t-1)-fold product, in the
+    # order of combinations_with_replacement; t = 1 extends the empty product
+    products = [((), 0, zero)]
     for t in range(1, t_max + 1):
         # the symbolic grid's patterns depend on its multiplicities alone
         mt, nt = symbolic_multiplicities(g, t)
@@ -248,35 +263,27 @@ def resurgence_certificate(g: FatGrid, t_max: int) -> VerificationReport:
             and bt == [t * y for y in b]
             and len(sym_patterns) == t * (len(base_patterns) - 1) + 1
         )
+        targets = [pat.h_exponents + pat.v_exponents for pat in sym_patterns]
 
         mismatches: list[int] = []
-        for pat in sym_patterns:
-            ks = _balanced_split(pat.k, t)
-            h = tuple(sum(max(x - k, 0) for k in ks) for x in a)
-            v = tuple(sum(max(y + k, 0) for k in ks) for y in b)
-            if h != pat.h_exponents or v != pat.v_exponents:
+        for pat, target in zip(sym_patterns, targets):
+            total = zero
+            for k in _balanced_split(pat.k, t):
+                row = rows[k] if 0 <= k < len(rows) else _exponent_row(a, b, k)
+                total = tuple(map(add, total, row))
+            if total != target:
                 mismatches.append(pat.k)
 
-        sym_by_k = {pat.k: pat for pat in sym_patterns}
-        undominated = []
-        for combo in combinations_with_replacement(
-            range(len(base_patterns)), t
-        ):
-            kbar = sum(combo)
-            target = sym_by_k[kbar]
-            h = tuple(
-                sum(base_patterns[k].h_exponents[i] for k in combo)
-                for i in range(len(a))
-            )
-            v = tuple(
-                sum(base_patterns[k].v_exponents[j] for k in combo)
-                for j in range(len(b))
-            )
-            if not (
-                all(x >= y for x, y in zip(h, target.h_exponents))
-                and all(x >= y for x, y in zip(v, target.v_exponents))
-            ):
-                undominated.append(combo)
+        products = [
+            (combo + (k,), kbar + k, tuple(map(add, total, rows[k])))
+            for combo, kbar, total in products
+            for k in range(combo[-1] if combo else 0, len(rows))
+        ]
+        undominated = [
+            combo
+            for combo, kbar, total in products
+            if not all(map(ge, total, targets[kbar]))
+        ]
         checks += [
             CheckInstance(
                 "t=%d: symbolic pattern family scales the base exponent bounds by t"
@@ -311,7 +318,7 @@ def invariants_report(g: FatGrid, t_max: int = 2) -> dict:
     """All closed-form invariants of the grid as one JSON-ready mapping."""
     tup = alpha_tuple(g)
     corners = corner_sets(tup)
-    shifts = resolution(g)
+    shifts = _resolution_from_corners(corners)
     w = waldschmidt(g)
     certificate = resurgence_certificate(g, t_max)
     if not certificate.passed:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import re
 from concurrent.futures import Future
@@ -202,7 +203,7 @@ def test_verify_starts_no_more_workers_than_jobs(runner, monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     pooled = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "64")
     serial = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "1")
     # the plan has three units

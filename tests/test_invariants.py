@@ -3,10 +3,15 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hfg.cli as cli
 import hfg.invariants
@@ -323,3 +328,113 @@ def test_failed_certificate_is_an_invalid_grid(monkeypatch):
         "invalid grid: resurgence certificate failed: t=2: every symbolic"
         " pattern is the balanced t-fold product of base patterns\n"
     )
+
+
+def _literal_certificate(g, t_max):
+    """The certificate's instances by the literal enumeration: every t-fold
+    product of base patterns summed index by index from the pattern
+    attributes, each symbolic pattern rebuilt from ``_balanced_split``."""
+    inv = hfg.invariants
+    base_patterns = inv.generator_patterns(g)
+    a, b = inv._bounds(g.row_multiplicities, g.col_multiplicities)
+    instances = []
+    for t in range(1, t_max + 1):
+        mt, nt = inv.symbolic_multiplicities(g, t)
+        sym_patterns = inv._patterns(mt, nt)
+        at, bt = inv._bounds(mt, nt)
+        count = t * (len(base_patterns) - 1) + 1
+        structural = (
+            at == [t * x for x in a]
+            and bt == [t * y for y in b]
+            and len(sym_patterns) == count
+        )
+        mismatches = []
+        for pat in sym_patterns:
+            ks = inv._balanced_split(pat.k, t)
+            h = tuple(sum(max(x - k, 0) for k in ks) for x in a)
+            v = tuple(sum(max(y + k, 0) for k in ks) for y in b)
+            if h != pat.h_exponents or v != pat.v_exponents:
+                mismatches.append(pat.k)
+        sym_by_k = {pat.k: pat for pat in sym_patterns}
+        undominated = []
+        for combo in combinations_with_replacement(range(len(base_patterns)), t):
+            target = sym_by_k[sum(combo)]
+            h = tuple(
+                sum(base_patterns[k].h_exponents[i] for k in combo)
+                for i in range(len(a))
+            )
+            v = tuple(
+                sum(base_patterns[k].v_exponents[j] for k in combo)
+                for j in range(len(b))
+            )
+            if not (
+                all(x >= y for x, y in zip(h, target.h_exponents))
+                and all(x >= y for x, y in zip(v, target.v_exponents))
+            ):
+                undominated.append(combo)
+        instances += [
+            (
+                "t=%d: symbolic pattern family scales the base exponent bounds by t" % t,
+                "a'=t*a, b'=t*b, %d patterns" % count,
+                "a'=%s, b'=%s, %d patterns" % (at, bt, len(sym_patterns)),
+                structural,
+            ),
+            (
+                "t=%d: every symbolic pattern is the balanced t-fold product of"
+                " base patterns" % t,
+                "all %d patterns match" % len(sym_patterns),
+                "all match" if not mismatches else "mismatch at k=%s" % mismatches,
+                not mismatches,
+            ),
+            (
+                "t=%d: every t-fold product of base patterns is divisible by a"
+                " symbolic generator" % t,
+                "all products dominate",
+                "all dominate" if not undominated else "failures at %s" % undominated[:3],
+                not undominated,
+            ),
+        ]
+    return instances
+
+
+profiles = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    M=profiles,
+    N=profiles,
+    t_max=st.integers(min_value=1, max_value=4),
+    unbalanced=st.booleans(),
+    padded=st.booleans(),
+)
+def test_resurgence_certificate_matches_the_literal_enumeration(
+    M, N, t_max, unbalanced, padded
+):
+    # the two patches of the mutation tests above, so that failing instances
+    # and their texts are compared too
+    multiplicities = hfg.invariants.symbolic_multiplicities
+    with ExitStack() as patches:
+        if unbalanced:
+            patches.enter_context(
+                mock.patch.object(
+                    hfg.invariants, "_balanced_split", lambda k, t: [k] + [0] * (t - 1)
+                )
+            )
+        if padded:
+            patches.enter_context(
+                mock.patch.object(
+                    hfg.invariants,
+                    "symbolic_multiplicities",
+                    lambda g, t: (
+                        multiplicities(g, t)[0],
+                        [x + (t > 1) for x in multiplicities(g, t)[1]],
+                    ),
+                )
+            )
+        g = abstract_grid(M, N)
+        report = resurgence_certificate(g, t_max)
+        assert [
+            (inst.label, inst.expected, inst.computed, inst.passed)
+            for inst in report.instances
+        ] == _literal_certificate(g, t_max)

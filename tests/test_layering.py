@@ -1,6 +1,7 @@
 """Each module of ``hfg`` imports alone in a fresh interpreter, and loads
 no module of a layer above it: the closed forms and the algebra below them
-load no oracle module, and the condition layer loads no other module."""
+load no oracle module, and the condition layer loads no other module.  The
+CLI loads the process pool's modules only when ``--jobs`` asks for a pool."""
 from __future__ import annotations
 
 import json
@@ -26,15 +27,15 @@ BELOW_THE_ORACLES = ("hfg.invariants", "hfg.fatgrid", "hfg.projective", "hfg.pol
 _SCRIPT = (
     "import importlib, json, sys\n"
     "importlib.import_module(sys.argv[1])\n"
-    "print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] == 'hfg')))\n"
+    "print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] in sys.argv[2:])))\n"
 )
 
 
-def modules_loaded_by(module: str) -> set[str]:
-    """The ``hfg`` modules that importing ``module`` alone loads."""
+def modules_loaded_by(module: str, packages=("hfg",)) -> set[str]:
+    """The modules of ``packages`` that importing ``module`` alone loads."""
     src = str(PACKAGE.parent)
     run = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, module],
+        [sys.executable, "-c", _SCRIPT, module, *packages],
         cwd=src,
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
@@ -57,3 +58,7 @@ def test_module_imports_alone_and_loads_no_layer_above_it(module):
         assert loaded == {"hfg", "hfg.conditions"}
     if any(module == m or module.startswith(m + ".") for m in BELOW_THE_ORACLES):
         assert not loaded & ORACLE_MODULES, sorted(loaded & ORACLE_MODULES)
+
+
+def test_cli_loads_no_process_pool():
+    assert not modules_loaded_by("hfg.cli", ("concurrent", "multiprocessing"))

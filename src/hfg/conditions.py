@@ -10,14 +10,6 @@ import bisect
 import math
 
 
-def primitive_coords(point) -> list[int]:
-    """Integer coordinates with gcd 1 of a point (or a nonzero rational vector)."""
-    den = math.lcm(*(c.denominator for c in point))
-    ints = [int(c * den) for c in point]
-    content = math.gcd(*ints)
-    return [x // content for x in ints]
-
-
 def point_conditions(point, m: int, top: int, scale: int):
     """The rows of a fat point of multiplicity m, one per derivative of
     order o1 + o2 < m (Macaulay's inverse system; Emsalem and Iarrobino

@@ -30,6 +30,7 @@ from .projective import (
     is_collinear,
     line_through,
     point_ideal,
+    primitive_coords,
 )
 
 
@@ -208,17 +209,22 @@ def _assemble(
                 % hline
             )
 
+    # Incidences in integers: a point lies on a line exactly when the dot
+    # product of their primitive triples vanishes.
+    h_ints = [primitive_coords(hline.coeffs) for hline in h_lines]
+    v_ints = [primitive_coords(vline.coeffs) for vline in v_lines]
     for i in range(r):
         for j in range(s):
             g = grid_points[i][j]
-            for i0, hline in enumerate(h_lines):
-                if i0 != r - 1 - i and hline.contains(g):
+            x0, x1, x2 = primitive_coords(g.coords)
+            for i0, (a, b, c) in enumerate(h_ints):
+                if i0 != r - 1 - i and a * x0 + b * x1 + c * x2 == 0:
                     raise GridError(
                         "grid is degenerate: point %s and horizontal line %d"
                         % (g.to_string(), i0)
                     )
-            for j0, vline in enumerate(v_lines):
-                if j0 != s - 1 - j and vline.contains(g):
+            for j0, (a, b, c) in enumerate(v_ints):
+                if j0 != s - 1 - j and a * x0 + b * x1 + c * x2 == 0:
                     raise GridError(
                         "grid is degenerate: point %s and vertical line %d"
                         % (g.to_string(), j0)

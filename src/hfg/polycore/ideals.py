@@ -80,6 +80,9 @@ def ideal_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
 def ideal_power(a: IdealPresentation, m: int) -> IdealPresentation:
     if m < 1:
         raise DomainError("ideal power wants a positive exponent")
+    if m == 1:
+        # I^1 = I: the same presentation, with its cached basis
+        return a
     gens = []
     seen = set()
     for combo in itertools.combinations_with_replacement(a.generators, m):

@@ -12,6 +12,8 @@ The JSON term format is `[["num/den", [e0, e1, ...]], ...]`.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +59,16 @@ PLANE = VariableBlock(("x0", "x1", "x2"))
 
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
+
+
+def _over_common_denominator(
+    terms: Mapping[Exponents, Fraction]
+) -> tuple[int, list[tuple[Exponents, int]]]:
+    """The lcm of the coefficients' denominators, and each term with its
+    coefficient times that lcm."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
 class Polynomial:
@@ -160,12 +171,19 @@ class Polynomial:
                 self.block, {e: c * other for e, c in self.terms.items()}
             )
         self._check_block(other)
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        # integer numerators over a common denominator, so that the pairs
+        # of terms cost int arithmetic and only each result term a Fraction
+        den1, nums1 = _over_common_denominator(self.terms)
+        den2, nums2 = _over_common_denominator(other.terms)
+        terms: dict[Exponents, int] = {}
+        for e1, c1 in nums1:
+            for e2, c2 in nums2:
                 e = monomial_mul(e1, e2)
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Polynomial(self.block, terms)
+        den = den1 * den2
+        return Polynomial(
+            self.block, {e: Fraction(c, den) for e, c in terms.items()}
+        )
 
     __rmul__ = __mul__
 

@@ -12,6 +12,7 @@ points, 1 on the coordinate lines less the coordinate points, 2 elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -97,6 +98,17 @@ class Line:
 
     def __repr__(self) -> str:
         return f"Line({':'.join(str(c) for c in self.coeffs)})"
+
+
+def primitive_coords(coords: Sequence[Scalar]) -> list[int]:
+    """Integer coordinates with gcd 1 of a nonzero rational vector, such as
+    a point's coordinates or a line's coefficients: the same projective
+    point or line, so a point lies on a line exactly when the integer dot
+    product of the two triples vanishes."""
+    den = math.lcm(*(c.denominator for c in coords))
+    ints = [c.numerator * (den // c.denominator) for c in coords]
+    content = math.gcd(*ints)
+    return [x // content for x in ints]
 
 
 def hadamard_point(p: Point, q: Point) -> Point | None:

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .budget import Budget, DEFAULT_BUDGET
-from .conditions import pivot_columns, point_conditions, primitive_coords
+from .conditions import pivot_columns, point_conditions
 from .errors import BudgetExceededError, DomainError
 from .fatgrid import (
     FatGrid,
@@ -42,7 +42,13 @@ from .polycore import (
     join_ideals,
     monomials_of_degree,
 )
-from .projective import Point, delta_index, hadamard_point, point_ideal
+from .projective import (
+    Point,
+    delta_index,
+    hadamard_point,
+    point_ideal,
+    primitive_coords,
+)
 from .report import CheckInstance, VerificationReport, skipped, verdict
 
 

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import pickle
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hfg.budget import Budget
@@ -24,7 +25,15 @@ from hfg.fatgrid import (
 )
 from hfg.invariants import generator_patterns
 from hfg.polycore import ideal_equal, ideal_intersection, ideal_power
-from hfg.projective import Point, hadamard_point, line_through, point_ideal
+from hfg.projective import (
+    Line,
+    Point,
+    hadamard_line_point,
+    hadamard_point,
+    line_through,
+    point_ideal,
+    primitive_coords,
+)
 
 COLLINEAR = [Point((1, 1, 2)), Point((1, 1, 3)), Point((1, 1, 4))]
 
@@ -118,6 +127,113 @@ def test_explicit_grid_incidences_hold_by_construction(rows, cols):
             point = g.grid_points[i][j]
             assert [k for k, l in enumerate(g.h_lines) if l.contains(point)] == [r - 1 - i]
             assert [k for k, l in enumerate(g.v_lines) if l.contains(point)] == [s - 1 - j]
+
+
+def _integer_incidence(line: Line, point: Point) -> bool:
+    """The incidence test of ``_assemble``: the dot product of the two
+    primitive integer triples vanishes."""
+    a, x = primitive_coords(line.coeffs), primitive_coords(point.coords)
+    return a[0] * x[0] + a[1] * x[1] + a[2] * x[2] == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from(_POINT_POOL), min_size=2, max_size=2, unique=True),
+    st.sampled_from(_POINT_POOL),
+    st.integers(0, 2),
+)
+def test_integer_incidence_agrees_with_the_rational_test(through, other, pick):
+    """A line through two pool points, tested at one of them (incident),
+    at a third pool point or at a Hadamard product; and the line's Hadamard
+    image, whose quotient coefficients bring in denominators."""
+    line = line_through(*through)
+    point = (through[0], other, hadamard_point(through[1], other))[pick]
+    triple = primitive_coords(point.coords)
+    assert math.gcd(*triple) == 1 and Point(triple) == point
+    assert _integer_incidence(line, point) == line.contains(point)
+    image = hadamard_line_point(line, other)
+    assert _integer_incidence(image, hadamard_point(through[0], other))
+    assert _integer_incidence(image, point) == image.contains(point)
+
+
+def _rational_degeneracy_error(rows, cols, row_line, col_line):
+    """The degeneracy checks of ``_assemble`` written with ``Line.contains``
+    (a Fraction dot product): the text of the first ``GridError``, or None."""
+    r, s = rows.size, cols.size
+    seen = {}
+    grid_points = []
+    for i, p in enumerate(rows.points):
+        row = []
+        for j, q in enumerate(cols.points):
+            g = hadamard_point(p, q)
+            if g in seen:
+                return "duplicate grid point %s at (%d,%d) and (%d,%d)" % (
+                    g.to_string(), *seen[g], i, j
+                )
+            seen[g] = (i, j)
+            row.append(g)
+        grid_points.append(row)
+    h_lines = [hadamard_line_point(col_line, rows.points[r - 1 - i]) for i in range(r)]
+    v_lines = [hadamard_line_point(row_line, cols.points[s - 1 - j]) for j in range(s)]
+    for hline in h_lines:
+        if hline in v_lines:
+            return "grid is degenerate: %s is both a horizontal and a vertical line" % hline
+    for i in range(r):
+        for j in range(s):
+            g = grid_points[i][j]
+            for i0, hline in enumerate(h_lines):
+                if i0 != r - 1 - i and hline.contains(g):
+                    return "grid is degenerate: point %s and horizontal line %d" % (
+                        g.to_string(), i0
+                    )
+            for j0, vline in enumerate(v_lines):
+                if j0 != s - 1 - j and vline.contains(g):
+                    return "grid is degenerate: point %s and vertical line %d" % (
+                        g.to_string(), j0
+                    )
+    return None
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+@st.composite
+def near_degenerate_sets(draw):
+    """Row points P1, P2 and column points on the line c through two pool
+    points, led by Q1 = c x (c * P1/P2): then c . Q1 = 0 puts Q1 on c, and
+    (c/P2) . (P1 * Q1) = (c * P1/P2) . Q1 = 0 puts P1 * Q1 on the h-line of
+    P2."""
+    p1, p2 = draw(st.lists(st.sampled_from(_POINT_POOL), min_size=2, max_size=2, unique=True))
+    qa, qb = draw(st.lists(st.sampled_from(_POINT_POOL), min_size=2, max_size=2, unique=True))
+    line = line_through(qa, qb)
+    c = line.coeffs
+    q1 = _cross(c, [ci * a / b for ci, a, b in zip(c, p1, p2)])
+    assume(all(q1))
+    q1 = Point(q1)
+    on_line = [q for q in dict.fromkeys([qa, qb, *_POINT_POOL]) if q != q1 and line.contains(q)]
+    cols = [q1, *on_line[: draw(st.integers(1, 2))]]
+    mults = st.lists(st.integers(1, 3), min_size=len(cols), max_size=len(cols))
+    rows = WeightedPointSet.make([p1, p2], draw(mults)[:2])
+    return rows, WeightedPointSet.make(cols, draw(mults)), (p1, p2, q1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(near_degenerate_sets())
+def test_near_degenerate_grid_fails_as_the_rational_checks_do(case):
+    rows, cols, (p1, p2, q1) = case
+    col_line = line_through(*cols.points[:2])
+    assert hadamard_line_point(col_line, p2).contains(hadamard_point(p1, q1))
+    expected = _rational_degeneracy_error(rows, cols, line_through(*rows.points[:2]), col_line)
+    assume(not expected.startswith("duplicate"))
+    assert expected.endswith("is both a horizontal and a vertical line")
+    with pytest.raises(GridError) as info:
+        build_grid(rows, cols)
+    assert str(info.value) == expected
 
 
 def test_neighbouring_multiplicity_differences(example_grid):

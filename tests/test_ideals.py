@@ -59,6 +59,13 @@ def test_ideal_power():
         ideal_power(m, 0)
 
 
+def test_first_power_is_the_ideal_itself_with_its_cached_basis():
+    m = ideal("x1 + x2", "x0*x1")
+    basis = m.groebner_basis()
+    assert ideal_power(m, 1) is m
+    assert ideal_power(m, 1).groebner_basis() is basis
+
+
 def test_ideal_intersection():
     assert ideal_equal(ideal_intersection(ideal("x1"), ideal("x2")), ideal("x1*x2"))
     i = ideal("x0 - x1", "x1^2 - x2^2")

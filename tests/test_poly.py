@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfg.errors import BlockMismatchError, DomainError, ParseError
 from hfg.polycore import (
@@ -41,6 +43,41 @@ def test_no_zero_coefficients_survive_arithmetic():
     s = p + q  # 2*x0
     assert list(s.terms.values()) == [Fraction(2)]
     assert (p * q).terms == (X0 * X0 - X1 * X1).terms
+
+
+def _fraction_product(f: Polynomial, g: Polynomial) -> dict:
+    """Reference product: one Fraction multiply and add per pair of terms,
+    zero sums dropped."""
+    terms: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+# small exponents, so that products collide and often cancel
+_rational_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    max_size=6,
+).map(lambda terms: Polynomial(PLANE, terms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_rational_polys, _rational_polys)
+def test_product_matches_the_fraction_product(f, g):
+    product = f * g
+    assert product.terms == _fraction_product(f, g)
+    assert all(type(c) is Fraction and c for c in product.terms.values())
+    assert (g * f).terms == product.terms
+
+
+def test_product_cancels_to_zero_terms_and_keeps_denominators():
+    p = Fraction(1, 2) * X0 + Fraction(2, 3) * X1
+    q = Fraction(1, 2) * X0 - Fraction(2, 3) * X1
+    assert (p * q).terms == {(2, 0, 0): Fraction(1, 4), (0, 2, 0): Fraction(-4, 9)}
+    assert (p * Polynomial.zero(PLANE)).is_zero
 
 
 def test_string_round_trip():

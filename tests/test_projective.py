@@ -14,6 +14,7 @@ from hfg.projective import (
     is_collinear,
     line_through,
     point_ideal,
+    primitive_coords,
 )
 
 
@@ -23,6 +24,13 @@ def test_point_normalization_is_canonical():
     assert Point((Fraction(1, 2), 1, 0)).coords == (1, 2, 0)
     with pytest.raises(DomainError):
         Point((0, 0, 0))
+
+
+def test_primitive_coords_clear_denominators_and_content():
+    assert primitive_coords([Fraction(2), Fraction(4), Fraction(6)]) == [1, 2, 3]
+    assert primitive_coords([Fraction(1, 2), Fraction(-2, 3), 0]) == [3, -4, 0]
+    assert primitive_coords(Point((1, Fraction(2, 3), Fraction(1, 3))).coords) == [3, 2, 1]
+    assert primitive_coords(Line((Fraction(-6, 5), 0, Fraction(9, 5))).coeffs) == [2, 0, -3]
 
 
 def test_point_string_round_trip():

@@ -30,7 +30,6 @@ from .projective import (
     is_collinear,
     line_through,
     point_ideal,
-    primitive_coords,
 )
 
 
@@ -171,6 +170,10 @@ def _assemble(
     # singleton's candidate lines pass through it.  A grid point lies on its
     # own lines: for the column line c . x = 0 the h-line of P is
     # (c/P) . x = 0, and (c/P) . (P * Q) = c . Q = 0; likewise for v-lines.
+    # Nor on any other line, once the two checks below pass: were point
+    # (i,j) on the h-line of row k != i, that line would hold the distinct
+    # points (i,j) and (k,j), as column j's v-line does, so the two lines
+    # would be one shared line; the column case is the mirror image.
     r, s = row_set.size, col_set.size
     seen: dict[Point, tuple[int, int]] = {}
     rows: list[tuple[Point, ...]] = []
@@ -208,27 +211,6 @@ def _assemble(
                 "grid is degenerate: %s is both a horizontal and a vertical line"
                 % hline
             )
-
-    # Incidences in integers: a point lies on a line exactly when the dot
-    # product of their primitive triples vanishes.
-    h_ints = [primitive_coords(hline.coeffs) for hline in h_lines]
-    v_ints = [primitive_coords(vline.coeffs) for vline in v_lines]
-    for i in range(r):
-        for j in range(s):
-            g = grid_points[i][j]
-            x0, x1, x2 = primitive_coords(g.coords)
-            for i0, (a, b, c) in enumerate(h_ints):
-                if i0 != r - 1 - i and a * x0 + b * x1 + c * x2 == 0:
-                    raise GridError(
-                        "grid is degenerate: point %s and horizontal line %d"
-                        % (g.to_string(), i0)
-                    )
-            for j0, (a, b, c) in enumerate(v_ints):
-                if j0 != s - 1 - j and a * x0 + b * x1 + c * x2 == 0:
-                    raise GridError(
-                        "grid is degenerate: point %s and vertical line %d"
-                        % (g.to_string(), j0)
-                    )
 
     return FatGrid(
         row_set=row_set,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm as int_lcm
+from math import gcd
 from operator import lshift
 from typing import Callable, Sequence, TypeVar
 
@@ -166,10 +166,18 @@ def _primitive(p: IntPoly) -> IntPoly:
 
 
 def _to_int_poly(p: Polynomial, pk: _Packing) -> tuple[IntPoly, int]:
-    """Integer numerators and common denominator of p."""
-    den = int_lcm(*(c.denominator for c in p.terms.values()))
-    ints = {pk.pack(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    return ints, den
+    """Integer numerators, packed, and common denominator of p."""
+    den, terms = p.integer_terms()
+    return {pk.pack(e): c for e, c in terms}, den
+
+
+def _from_int_poly(
+    terms: IntPoly, den: int, block: VariableBlock, pk: _Packing
+) -> Polynomial:
+    """The polynomial terms / den on `block`, whose variables are the first
+    of the packing's; the fields past them must be zero."""
+    n = block.arity
+    return Polynomial(block, {pk.unpack(k)[:n]: Fraction(c, den) for k, c in terms.items()})
 
 
 def _reduce(
@@ -376,7 +384,8 @@ def _reduced_basis(
     gens: Sequence[Polynomial], front: int, kept_only: bool
 ) -> tuple[Polynomial, ...]:
     """Reduced monic basis under the order of _Packing(front, ...); with
-    `kept_only`, just its elements in the first `front` variables.
+    `kept_only`, just its elements in the first `front` variables, on the
+    block of those variables.
 
     By the elimination property, a row whose leading monomial avoids the
     other variables has no term in them, and only such rows have leading
@@ -387,20 +396,17 @@ def _reduced_basis(
     if not nonzero:
         return ()
     block = _common_block(nonzero)
+    out = VariableBlock(block.names[:front]) if kept_only else block
 
     def run(pk: _Packing) -> tuple[Polynomial, ...]:
         G = _buchberger([_primitive(_to_int_poly(g, pk)[0]) for g in nonzero], pk)
         if kept_only:
             # the eliminated variables hold the fields from `front` up, so a
-            # key avoids them exactly when it is below the first such field
+            # key avoids them exactly when it is below the first such field;
+            # every key of a kept row is at most its leading key
             bound = 1 << (front * pk.width)
             G = [row for row in G if row.lm < bound]
-        return tuple(
-            Polynomial(
-                block, {pk.unpack(k): Fraction(c, row.lc) for k, c in row.terms.items()}
-            )
-            for row in _interreduce(G, pk)
-        )
+        return tuple(_from_int_poly(row.terms, row.lc, out, pk) for row in _interreduce(G, pk))
 
     return _packed(run, nonzero, front)
 
@@ -427,8 +433,7 @@ def normal_forms(
         def remainder(f: Polynomial) -> Polynomial:
             num, den = _to_int_poly(f, pk)
             rem, scale = _reduce(num, rows, pk, memo)
-            den *= scale
-            return Polynomial(f.block, {pk.unpack(k): Fraction(c, den) for k, c in rem.items()})
+            return _from_int_poly(rem, den * scale, f.block, pk)
 
         return [f if f.is_zero else remainder(f) for f in fs]
 

@@ -117,9 +117,9 @@ def eliminate(
     k = keep.arity
     if ext.names[:k] != keep.names:
         raise BlockMismatchError("kept block is not the leading segment")
-    restricted = tuple(g.restrict_front(keep) for g in _reduced_basis(gens, k, True))
-    result = IdealPresentation(keep, restricted)
-    result._basis = restricted
+    basis = _reduced_basis(gens, k, True)
+    result = IdealPresentation(keep, basis)
+    result._basis = basis
     return result
 
 

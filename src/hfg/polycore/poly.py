@@ -62,15 +62,6 @@ def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(operator.add, a, b))
 
 
-def _over_common_denominator(
-    terms: Mapping[Exponents, Fraction]
-) -> tuple[int, list[tuple[Exponents, int]]]:
-    """The lcm of the coefficients' denominators, and each term with its
-    coefficient times that lcm."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
-
-
 class Polynomial:
     __slots__ = ("block", "terms")
 
@@ -84,7 +75,7 @@ class Polynomial:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "block", block)
@@ -142,6 +133,13 @@ class Polynomial:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
+    def integer_terms(self) -> tuple[int, list[tuple[Exponents, int]]]:
+        """The lcm of the coefficients' denominators, and each term with its
+        coefficient times that lcm: the polynomial is the integer one over
+        that denominator."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return den, [(e, c.numerator * (den // c.denominator)) for e, c in self.terms.items()]
+
     # -- arithmetic --------------------------------------------------------
 
     def _check_block(self, other: "Polynomial") -> None:
@@ -173,8 +171,8 @@ class Polynomial:
         self._check_block(other)
         # integer numerators over a common denominator, so that the pairs
         # of terms cost int arithmetic and only each result term a Fraction
-        den1, nums1 = _over_common_denominator(self.terms)
-        den2, nums2 = _over_common_denominator(other.terms)
+        den1, nums1 = self.integer_terms()
+        den2, nums2 = other.integer_terms()
         terms: dict[Exponents, int] = {}
         for e1, c1 in nums1:
             for e2, c2 in nums2:
@@ -237,16 +235,6 @@ class Polynomial:
         return Polynomial(
             target, {pre + e + post: c for e, c in self.terms.items()}
         )
-
-    def restrict_front(self, target: VariableBlock) -> "Polynomial":
-        """Inverse of embed at offset 0; trailing exponents must vanish."""
-        k = target.arity
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            if any(exps[k:]):
-                raise ValueError("polynomial involves variables beyond the front block")
-            terms[exps[:k]] = coeff
-        return Polynomial(target, terms)
 
     # -- text and JSON -----------------------------------------------------
 

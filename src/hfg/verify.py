@@ -73,13 +73,9 @@ def vanishing_order(f: Polynomial, p) -> int | float:
     i, j = (k for k in range(3) if k != pivot)
     ints = primitive_coords(coords)
     scale = ints[pivot]
-    den = math.lcm(*(coeff.denominator for coeff in f.terms.values()))
     weights = [
-        (
-            math.comb(exps[i] + exps[j] + 1, 2) + exps[j],
-            coeff.numerator * (den // coeff.denominator) * scale ** exps[pivot],
-        )
-        for exps, coeff in f.terms.items()
+        (math.comb(exps[i] + exps[j] + 1, 2) + exps[j], num * scale ** exps[pivot])
+        for exps, num in f.integer_terms()[1]
     ]
     top = f.total_degree()
     rows = point_conditions((scale, ints[i], ints[j]), top + 1, top, scale)

@@ -130,8 +130,8 @@ def test_explicit_grid_incidences_hold_by_construction(rows, cols):
 
 
 def _integer_incidence(line: Line, point: Point) -> bool:
-    """The incidence test of ``_assemble``: the dot product of the two
-    primitive integer triples vanishes."""
+    """Incidence in integers: the dot product of the two primitive integer
+    triples vanishes."""
     a, x = primitive_coords(line.coeffs), primitive_coords(point.coords)
     return a[0] * x[0] + a[1] * x[1] + a[2] * x[2] == 0
 
@@ -229,6 +229,42 @@ def test_near_degenerate_grid_fails_as_the_rational_checks_do(case):
     col_line = line_through(*cols.points[:2])
     assert hadamard_line_point(col_line, p2).contains(hadamard_point(p1, q1))
     expected = _rational_degeneracy_error(rows, cols, line_through(*rows.points[:2]), col_line)
+    assume(not expected.startswith("duplicate"))
+    assert expected.endswith("is both a horizontal and a vertical line")
+    with pytest.raises(GridError) as info:
+        build_grid(rows, cols)
+    assert str(info.value) == expected
+
+
+@st.composite
+def near_degenerate_columns(draw):
+    """The mirror of ``near_degenerate_sets``: column points Q1, Q2 and row
+    points on the line r through two pool points, led by
+    P1 = r x (r * Q1/Q2): then r . P1 = 0 puts P1 on r, and
+    (r/Q2) . (P1 * Q1) = (r * Q1/Q2) . P1 = 0 puts P1 * Q1 on the v-line of
+    Q2."""
+    q1, q2 = draw(st.lists(st.sampled_from(_POINT_POOL), min_size=2, max_size=2, unique=True))
+    pa, pb = draw(st.lists(st.sampled_from(_POINT_POOL), min_size=2, max_size=2, unique=True))
+    c = line_through(pa, pb).coeffs
+    p1 = _cross(c, [ci * a / b for ci, a, b in zip(c, q1, q2)])
+    assume(all(p1))
+    p1 = Point(p1)
+    p2 = next(p for p in dict.fromkeys([pa, pb]) if p != p1)
+    through = line_through(q1, q2)
+    on_line = [q for q in _POINT_POOL if q not in (q1, q2) and through.contains(q)]
+    cols = [q1, q2, *on_line[: draw(st.integers(0, 1))]]
+    mults = st.lists(st.integers(1, 3), min_size=len(cols), max_size=len(cols))
+    rows = WeightedPointSet.make([p1, p2], draw(mults)[:2])
+    return rows, WeightedPointSet.make(cols, draw(mults)), (p1, q1, q2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(near_degenerate_columns())
+def test_point_on_another_column_line_fails_as_a_shared_line(case):
+    rows, cols, (p1, q1, q2) = case
+    row_line = line_through(*rows.points[:2])
+    assert hadamard_line_point(row_line, q2).contains(hadamard_point(p1, q1))
+    expected = _rational_degeneracy_error(rows, cols, row_line, line_through(*cols.points[:2]))
     assume(not expected.startswith("duplicate"))
     assert expected.endswith("is both a horizontal and a vertical line")
     with pytest.raises(GridError) as info:

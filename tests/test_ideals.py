@@ -205,6 +205,8 @@ def test_eliminate_is_the_kept_part_of_the_full_elimination_basis(case):
     keep = VariableBlock(gens[0].block.names[:k])
     full = _reduced_basis(gens, k, False)
     kept = tuple(
-        g.restrict_front(keep) for g in full if not any(any(e[k:]) for e in g.terms)
+        Polynomial(keep, {e[:k]: c for e, c in g.terms.items()})
+        for g in full
+        if not any(any(e[k:]) for e in g.terms)
     )
     assert eliminate(gens, keep).groebner_basis() == kept

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfg.errors import BlockMismatchError, DomainError, ParseError
@@ -71,6 +73,25 @@ def test_product_matches_the_fraction_product(f, g):
     assert product.terms == _fraction_product(f, g)
     assert all(type(c) is Fraction and c for c in product.terms.values())
     assert (g * f).terms == product.terms
+
+
+_integer_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-50, 50),
+    max_size=6,
+).map(lambda terms: Polynomial(PLANE, terms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_rational_polys, _rational_polys.map(lambda f: -f), _integer_polys))
+@example(Polynomial.zero(PLANE))
+@example(-3 * X0 * X1 + X2)
+def test_integer_terms_are_numerators_over_the_lcm_of_the_denominators(f):
+    den, terms = f.integer_terms()
+    denominators = [c.denominator for c in f.terms.values()]
+    assert den == reduce(lambda a, b: a * b // math.gcd(a, b), denominators, 1)
+    assert [e for e, _ in terms] == list(f.terms)
+    assert all(type(n) is int and Fraction(n, den) == f.terms[e] for e, n in terms)
 
 
 def test_product_cancels_to_zero_terms_and_keeps_denominators():

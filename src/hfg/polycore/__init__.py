@@ -13,6 +13,7 @@ from .ideals import (
     ideal_to_json,
     irrelevant_power,
     join_ideals,
+    linear_ideal,
 )
 from .poly import (
     PLANE,
@@ -41,6 +42,7 @@ __all__ = [
     "ideal_to_json",
     "irrelevant_power",
     "join_ideals",
+    "linear_ideal",
     "monomials_of_degree",
     "normal_form",
     "parse_rational",

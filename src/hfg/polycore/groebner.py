@@ -3,10 +3,12 @@
 The public entry points work on Polynomial (Fraction coefficients); the
 engine itself runs on content-free integer polynomials with positive leading
 coefficient, which keeps the inner loop in machine-int / bigint arithmetic.
-Monomials are packed into ints once per call (see _Packing), so multiplying
+`hfg.polycore.ideals` hands it such rows directly and keeps its results in
+that form (`Packed`), so Polynomials are built only where they are read.
+Monomials are packed into ints (see _Packing), so multiplying
 monomials is an integer add, comparing them is an integer compare and
 testing divisibility is a mask test.  The monomial order is grevlex;
-`_reduced_basis` can put a tail block of variables above it.  Pairs are
+`_eliminated` can put a tail block of variables above it.  Pairs are
 selected by lowest sugar (Giovini, Mora, Niesi, Robbiano and Traverso, "One
 sugar cube, please", ISSAC 1991), ties broken by the monomial order of the
 lcm and then by pair index, so runs are deterministic.  The sugar of an
@@ -64,6 +66,8 @@ class _Packing:
         starts = [0, front] if 0 < front < nvars else [0]
         field = (1 << width) - 1
         self.graded = len(starts) == 1
+        # where the first segment ends
+        self.lead = nvars if self.graded else front
         self.width = width
         self.cap = 1 << (width - 1)
         self.guard = sum(1 << (p * width + width - 1) for p in range(nvars))
@@ -80,6 +84,8 @@ class _Packing:
             )
             for a, b in zip(bounds, bounds[1:])
         ]
+        # K of each variable
+        self.units = tuple(self.key(1 << s) for s in self._shifts)
 
     def exps(self, k: int) -> int:
         """E of the monomial with key K."""
@@ -177,7 +183,9 @@ def _from_int_poly(
     """The polynomial terms / den on `block`, whose variables are the first
     of the packing's; the fields past them must be zero."""
     n = block.arity
-    return Polynomial(block, {pk.unpack(k)[:n]: Fraction(c, den) for k, c in terms.items()})
+    return Polynomial._trusted(
+        block, {pk.unpack(k)[:n]: Fraction(c, den) for k, c in terms.items()}
+    )
 
 
 def _reduce(
@@ -348,23 +356,121 @@ def _buchberger(polys: list[IntPoly], pk: _Packing) -> list[_Row]:
     return G
 
 
-def _packed(
-    run: Callable[[_Packing], T], polys: Sequence[Polynomial], front: int
-) -> T:
-    """Run `run` on a packing wide enough for `polys`, widening on overflow.
+def _width(top: int) -> int:
+    """First field width for input of total degree `top`: it leaves room for
+    lcm degrees well past the input degree."""
+    return max(8, (4 * top).bit_length() + 1)
 
-    The first width leaves room for lcm degrees well past the input degree;
-    a monomial that would still not fit aborts the run, which restarts from
-    the input at twice the width, so no field ever wraps.
+
+def _packed(run: Callable[[_Packing], T], top: int, front: int, nvars: int) -> T:
+    """Run `run` on a packing wide enough for input of degree `top`,
+    widening on overflow.
+
+    A monomial that does not fit aborts the run, which restarts from the
+    input at twice the width, so no field ever wraps.
     """
-    nvars = polys[0].block.arity
-    top = max(sum(e) for p in polys for e in p.terms)
-    width = max(8, (4 * top).bit_length() + 1)
+    width = _width(top)
     while True:
         try:
             return run(_packing(front, nvars, width))
         except _Overflow:
             width *= 2
+
+
+# Rows on the packing they belong to: an ideal's generators or its reduced
+# basis in the engine's form, all in the packing's first variables.
+Packed = tuple[_Packing, list[IntPoly]]
+
+
+def _moved(packed: Packed, dst: _Packing, offset: int = 0) -> list[IntPoly]:
+    """The rows of `packed` on packing `dst`, variable i becoming variable
+    offset + i.
+
+    A monomial in the variables before `lead` has the same key in every
+    packing of one width whose first segment ends at `lead`, since its key
+    is zero past them; such rows are returned as they are, and callers must
+    not change them.  A shift within one width moves exponent fields; only
+    a change of width unpacks every monomial.
+    """
+    src, rows = packed
+    if src.width != dst.width:
+        pad = (0,) * offset
+        return [{dst.pack(pad + src.unpack(k)): c for k, c in r.items()} for r in rows]
+    if not offset and src.lead == dst.lead:
+        return rows
+    shift = offset * dst.width
+    exps, key = src.exps, dst.key
+    return [{key(exps(k) << shift): c for k, c in r.items()} for r in rows]
+
+
+def _common_packing(
+    n: int, top: int, *packs: Packed
+) -> tuple[_Packing, list[list[IntPoly]]]:
+    """A grevlex packing of n variables that holds every pack and degree
+    `top`, and the rows of each pack on it."""
+    width = max([top.bit_length() + 1] + [pk.width for pk, _ in packs])
+    dst = _packing(0, n, width)
+    return dst, [_moved(packed, dst) for packed in packs]
+
+
+def _polys_on(polys: Sequence[Polynomial], pk: _Packing) -> list[IntPoly]:
+    """Primitive rows of nonzero polynomials on `pk`."""
+    return [_primitive(_to_int_poly(g, pk)[0]) for g in polys]
+
+
+def _polys_packed(polys: Sequence[Polynomial], n: int) -> Packed:
+    """Primitive rows of `polys`, nonzero polynomials of n variables, on the
+    grevlex packing the engine would choose for them."""
+    pk = _packing(0, n, _width(_top(polys)))
+    return pk, _polys_on(polys, pk)
+
+
+def _top(polys: Sequence[Polynomial]) -> int:
+    return max((sum(e) for p in polys for e in p.terms), default=0)
+
+
+def _eliminated(
+    inputs: Callable[[_Packing], list[IntPoly]],
+    top: int,
+    front: int,
+    nvars: int,
+    kept_only: bool,
+) -> Packed:
+    """Reduced basis of the ideal of `inputs(pk)`, rows of degree at most
+    `top`, under the order of _Packing(front, nvars, ...): primitive rows
+    with positive leading coefficient, sorted by leading monomial.  With
+    `kept_only`, just its rows in the first `front` variables.
+
+    By the elimination property, a row whose leading monomial avoids the
+    other variables has no term in them, and only such rows have leading
+    monomials that divide its terms, so with `kept_only` the other rows are
+    dropped before interreduction.
+    """
+
+    def run(pk: _Packing) -> Packed:
+        G = _buchberger(inputs(pk), pk)
+        if kept_only:
+            # the eliminated variables hold the fields from `front` up, so a
+            # key avoids them exactly when it is below the first such field;
+            # every key of a kept row is at most its leading key
+            bound = 1 << (front * pk.width)
+            G = [row for row in G if row.lm < bound]
+        return pk, [row.terms for row in _interreduce(G, pk)]
+
+    return _packed(run, top, front, nvars)
+
+
+def _monic(packed: Packed, block: VariableBlock) -> tuple[Polynomial, ...]:
+    """The rows as monic polynomials on `block`."""
+    pk, rows = packed
+    return tuple(_from_int_poly(row, row[max(row)], block, pk) for row in rows)
+
+
+def _all_reduce_to_zero(fs: list[IntPoly], basis: list[IntPoly], pk: _Packing) -> bool:
+    """Whether every f reduces to zero by `basis`, all rows on `pk`."""
+    rows = [_Row(g, pk) for g in basis]
+    memo: dict[int, int] = {}
+    return all(not _reduce(f, rows, pk, memo)[0] for f in fs)
 
 
 def _common_block(polys: Sequence[Polynomial]) -> VariableBlock:
@@ -385,30 +491,16 @@ def _reduced_basis(
 ) -> tuple[Polynomial, ...]:
     """Reduced monic basis under the order of _Packing(front, ...); with
     `kept_only`, just its elements in the first `front` variables, on the
-    block of those variables.
-
-    By the elimination property, a row whose leading monomial avoids the
-    other variables has no term in them, and only such rows have leading
-    monomials that divide its terms, so with `kept_only` the other rows are
-    dropped before interreduction.
-    """
+    block of those variables (see `_eliminated`)."""
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         return ()
     block = _common_block(nonzero)
     out = VariableBlock(block.names[:front]) if kept_only else block
-
-    def run(pk: _Packing) -> tuple[Polynomial, ...]:
-        G = _buchberger([_primitive(_to_int_poly(g, pk)[0]) for g in nonzero], pk)
-        if kept_only:
-            # the eliminated variables hold the fields from `front` up, so a
-            # key avoids them exactly when it is below the first such field;
-            # every key of a kept row is at most its leading key
-            bound = 1 << (front * pk.width)
-            G = [row for row in G if row.lm < bound]
-        return tuple(_from_int_poly(row.terms, row.lc, out, pk) for row in _interreduce(G, pk))
-
-    return _packed(run, nonzero, front)
+    packed = _eliminated(
+        lambda pk: _polys_on(nonzero, pk), _top(nonzero), front, block.arity, kept_only
+    )
+    return _monic(packed, out)
 
 
 def normal_forms(
@@ -424,20 +516,20 @@ def normal_forms(
     if not todo:
         return list(fs)
     nonzero = [g for g in basis if not g.is_zero]
-    _common_block(todo + nonzero)
+    block = _common_block(todo + nonzero)
 
     def run(pk: _Packing) -> list[Polynomial]:
-        rows = [_Row(_primitive(_to_int_poly(g, pk)[0]), pk) for g in nonzero]
+        rows = [_Row(g, pk) for g in _polys_on(nonzero, pk)]
         memo: dict[int, int] = {}
 
         def remainder(f: Polynomial) -> Polynomial:
             num, den = _to_int_poly(f, pk)
             rem, scale = _reduce(num, rows, pk, memo)
-            return _from_int_poly(rem, den * scale, f.block, pk)
+            return _from_int_poly(rem, den * scale, block, pk)
 
         return [f if f.is_zero else remainder(f) for f in fs]
 
-    return _packed(run, todo + nonzero, 0)
+    return _packed(run, _top(todo + nonzero), 0, block.arity)
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:

@@ -1,10 +1,12 @@
 """Ideal presentations and the operations built on elimination.
 
 An IdealPresentation is a generator list plus its cached reduced grevlex
-Groebner basis.  Since the reduced monic basis is canonical, ideal equality
-is basis equality.  Elimination orders the eliminated block above grevlex on
-the retained one, so the restriction of its reduced basis to the retained
-block is the reduced grevlex basis of the elimination ideal.
+Groebner basis, both kept in the engine's packed integer form once known;
+Polynomials are built only when `generators` or `groebner_basis()` is read.
+Since the reduced basis is canonical, ideal equality is basis equality.
+Elimination orders the eliminated block above grevlex on the retained one,
+so the restriction of its reduced basis to the retained block is the
+reduced grevlex basis of the elimination ideal.
 
 The Hadamard product of ideals is computed from its definition: introduce
 fresh blocks y, z, impose x_i = y_i * z_i together with I(y) and J(z), and
@@ -19,12 +21,37 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import BlockMismatchError, DomainError, ParseError
-from .groebner import _reduced_basis, groebner_basis, normal_form, normal_forms
+from .groebner import (
+    IntPoly,
+    Packed,
+    _all_reduce_to_zero,
+    _common_block,
+    _common_packing,
+    _eliminated,
+    _monic,
+    _moved,
+    _packing,
+    _Packing,
+    _polys_on,
+    _polys_packed,
+    _primitive,
+    _to_int_poly,
+    _top,
+    _width,
+)
 from .poly import PLANE, Polynomial, VariableBlock, monomials_of_degree
 
 
 class IdealPresentation:
-    __slots__ = ("block", "generators", "_basis")
+    """An ideal of the polynomial ring on `block`, by generators.
+
+    The generators are held as Polynomials, as packed engine rows, or both:
+    an ideal built by the engine or by `ideal_power` has rows only, and its
+    `generators` are built when first read.  The reduced basis is kept in
+    packed form once known; the engine's results know it from the start.
+    """
+
+    __slots__ = ("block", "_gens", "_basis", "_gen_rows", "_basis_rows")
 
     def __init__(self, block: VariableBlock, generators: Iterable[Polynomial]):
         gens = []
@@ -34,8 +61,10 @@ class IdealPresentation:
             if not g.is_zero:
                 gens.append(g)
         self.block = block
-        self.generators = tuple(gens)
+        self._gens: tuple[Polynomial, ...] | None = tuple(gens)
         self._basis: tuple[Polynomial, ...] | None = None
+        self._gen_rows: Packed | None = None
+        self._basis_rows: Packed | None = None
 
     @classmethod
     def from_polys(cls, *gens: Polynomial) -> "IdealPresentation":
@@ -43,28 +72,84 @@ class IdealPresentation:
             raise ValueError("need at least one generator to infer the block")
         return cls(gens[0].block, gens)
 
+    @classmethod
+    def _from_rows(
+        cls, block: VariableBlock, rows: Packed, basis: bool
+    ) -> "IdealPresentation":
+        """The ideal of nonzero primitive rows in the block's variables; with
+        `basis`, the rows are its reduced basis."""
+        ideal = cls.__new__(cls)
+        ideal.block = block
+        ideal._gens = ideal._basis = None
+        ideal._gen_rows = rows
+        ideal._basis_rows = rows if basis else None
+        return ideal
+
+    @property
+    def generators(self) -> tuple[Polynomial, ...]:
+        if self._gens is None:
+            if self._gen_rows is self._basis_rows:
+                self._gens = self.groebner_basis()
+            else:
+                self._gens = _monic(self._gen_rows, self.block)
+        return self._gens
+
+    def _generator_rows(self) -> Packed:
+        if self._gen_rows is None:
+            self._gen_rows = _polys_packed(self._gens, self.block.arity)
+        return self._gen_rows
+
+    def _reduced_rows(self) -> Packed:
+        if self._basis_rows is None:
+            gens = self._generator_rows()
+            if not gens[1]:
+                self._basis_rows = gens
+            else:
+                self._basis_rows = _eliminated(
+                    lambda pk: _moved(gens, pk),
+                    self.max_generator_degree(),
+                    0,
+                    self.block.arity,
+                    False,
+                )
+        return self._basis_rows
+
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:
-            self._basis = groebner_basis(self.generators)
+            self._basis = _monic(self._reduced_rows(), self.block)
         return self._basis
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        if self._gens is not None:
+            return not self._gens
+        return not self._gen_rows[1]
 
     def max_generator_degree(self) -> int:
-        return max((g.total_degree() for g in self.generators), default=-1)
+        if self._gens is not None:
+            return max((g.total_degree() for g in self._gens), default=-1)
+        # on the block's variables every packing orders by degree first, so
+        # a leading monomial has its row's top degree
+        pk, rows = self._gen_rows
+        return max((pk.degree(pk.exps(max(row))) for row in rows), default=-1)
 
     def contains(self, f: Polynomial) -> bool:
         if f.is_zero:
             return True
-        return normal_form(f, self.groebner_basis()).is_zero
+        if f.block != self.block:
+            raise BlockMismatchError("polynomial lives on a different block")
+        pk, (basis,) = _common_packing(
+            self.block.arity, f.total_degree(), self._reduced_rows()
+        )
+        return _all_reduce_to_zero([_to_int_poly(f, pk)[0]], basis, pk)
 
     def contains_ideal(self, other: "IdealPresentation") -> bool:
         if self.block != other.block:
             raise BlockMismatchError("ideals live on different blocks")
-        remainders = normal_forms(other.generators, self.groebner_basis())
-        return all(rem.is_zero for rem in remainders)
+        pk, (basis, gens) = _common_packing(
+            self.block.arity, 0, self._reduced_rows(), other._generator_rows()
+        )
+        return _all_reduce_to_zero(gens, basis, pk)
 
     def __repr__(self) -> str:
         gens = "; ".join(g.to_string() for g in self.generators)
@@ -74,7 +159,9 @@ class IdealPresentation:
 def ideal_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
     if a.block != b.block:
         raise BlockMismatchError("ideals live on different blocks")
-    return a.groebner_basis() == b.groebner_basis()
+    # reduced bases of primitive rows are canonical, like the monic ones
+    _, (ra, rb) = _common_packing(a.block.arity, 0, a._reduced_rows(), b._reduced_rows())
+    return ra == rb
 
 
 def ideal_power(a: IdealPresentation, m: int) -> IdealPresentation:
@@ -83,24 +170,33 @@ def ideal_power(a: IdealPresentation, m: int) -> IdealPresentation:
     if m == 1:
         # I^1 = I: the same presentation, with its cached basis
         return a
+    src = a._generator_rows()
+    # products of primitive rows are primitive, with positive leading
+    # coefficient; the width is the one the engine picks for their degree
+    width = _width(m * max(a.max_generator_degree(), 0))
+    pk = src[0] if src[0].width == width else _packing(0, a.block.arity, width)
+    rows = _moved(src, pk)
     gens = []
     seen = set()
-    for combo in itertools.combinations_with_replacement(a.generators, m):
+    for combo in itertools.combinations_with_replacement(rows, m):
         p = combo[0]
         for q in combo[1:]:
-            p = p * q
-        key = frozenset(p.terms.items())
+            p = _row_product(p, q)
+        key = frozenset(p.items())
         if key not in seen:
             seen.add(key)
             gens.append(p)
-    return IdealPresentation(a.block, gens)
+    return IdealPresentation._from_rows(a.block, (pk, gens), False)
 
 
-def _fresh_names(prefix: str, count: int, taken: Sequence[str]) -> tuple[str, ...]:
-    stem = prefix
-    while any(f"{stem}{i}" in taken for i in range(count)):
-        stem = "_" + stem
-    return tuple(f"{stem}{i}" for i in range(count))
+def _row_product(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Product of two packed rows: keys add as their monomials multiply."""
+    out: IntPoly = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 def eliminate(
@@ -117,49 +213,70 @@ def eliminate(
     k = keep.arity
     if ext.names[:k] != keep.names:
         raise BlockMismatchError("kept block is not the leading segment")
-    basis = _reduced_basis(gens, k, True)
-    result = IdealPresentation(keep, basis)
-    result._basis = basis
-    return result
+    nonzero = [g for g in gens if not g.is_zero]
+    if not nonzero:
+        return IdealPresentation(keep, ())
+    _common_block(nonzero)
+    packed = _eliminated(
+        lambda pk: _polys_on(nonzero, pk), _top(nonzero), k, ext.arity, True
+    )
+    return IdealPresentation._from_rows(keep, packed, True)
 
 
 def ideal_intersection(
     a: IdealPresentation, b: IdealPresentation
 ) -> IdealPresentation:
+    """I meet J, eliminating t from t*I + (1 - t)*J.
+
+    The inputs are built packed: t sits alone in the upper segment of the
+    elimination order, so multiplying by t adds its key to every key.
+    """
     if a.block != b.block:
         raise BlockMismatchError("ideals live on different blocks")
     block = a.block
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    (t_name,) = _fresh_names("t_", 1, block.names)
-    ext = block.extended([t_name])
-    t = Polynomial.variable(ext, ext.arity - 1)
-    one = Polynomial.constant(ext, 1)
-    gens = [t * f.embed(ext, 0) for f in a.generators]
-    gens += [(one - t) * g.embed(ext, 0) for g in b.generators]
-    return eliminate(gens, block)
+    if a.is_zero or b.is_zero:
+        # (0) meet J is (0)
+        return IdealPresentation(block, ())
+    n = block.arity
+    ga, gb = a._generator_rows(), b._generator_rows()
+    top = 1 + max(a.max_generator_degree(), b.max_generator_degree())
+
+    def inputs(pk: _Packing) -> list[IntPoly]:
+        t = pk.units[n]
+        rows = [{k + t: c for k, c in f.items()} for f in _moved(ga, pk)]
+        # (t - 1)*g: the generator (1 - t)*g with positive leading coefficient
+        for g in _moved(gb, pk):
+            tg = {k + t: c for k, c in g.items()}
+            tg.update((k, -c) for k, c in g.items())
+            rows.append(tg)
+        return rows
+
+    packed = _eliminated(inputs, top, n, n + 1, True)
+    return IdealPresentation._from_rows(block, packed, True)
 
 
 def _product_construction(
     a: IdealPresentation, b: IdealPresentation, hadamard: bool
 ) -> IdealPresentation:
+    """Eliminate y and z from I(y) + J(z) + (x_i - y_i*z_i) (Hadamard) or
+    + (x_i - y_i - z_i) (join), built packed: I's rows move to the y fields
+    and J's to the z fields."""
     if a.block != b.block:
         raise BlockMismatchError("ideals live on different blocks")
     block = a.block
     n = block.arity
-    y_names = _fresh_names("y", n, block.names)
-    z_names = _fresh_names("z", n, block.names + y_names)
-    ext = block.extended(y_names + z_names)
-    gens = [f.embed(ext, n) for f in a.generators]
-    gens += [g.embed(ext, 2 * n) for g in b.generators]
-    for i in range(n):
-        x = Polynomial.variable(ext, i)
-        y = Polynomial.variable(ext, n + i)
-        z = Polynomial.variable(ext, 2 * n + i)
-        gens.append(x - y * z if hadamard else x - y - z)
-    return eliminate(gens, block)
+    ga, gb = a._generator_rows(), b._generator_rows()
+    top = max(a.max_generator_degree(), b.max_generator_degree(), 2 if hadamard else 1)
+
+    def inputs(pk: _Packing) -> list[IntPoly]:
+        rows = _moved(ga, pk, n) + _moved(gb, pk, 2 * n)
+        for x, y, z in zip(pk.units, pk.units[n:], pk.units[2 * n :]):
+            # leading term first: the y, z block is above x
+            rows.append({y + z: 1, x: -1} if hadamard else {y: 1, z: 1, x: -1})
+        return rows
+
+    packed = _eliminated(inputs, top, n, 3 * n, True)
+    return IdealPresentation._from_rows(block, packed, True)
 
 
 def hadamard_ideals(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
@@ -190,8 +307,25 @@ def irrelevant_power(t: int, block: VariableBlock = PLANE) -> IdealPresentation:
     degree-t monomials."""
     if t < 1:
         raise DomainError("irrelevant power wants a positive exponent")
-    gens = [Polynomial.monomial(block, e) for e in monomials_of_degree(block, t)]
-    return IdealPresentation(block, gens)
+    pk = _packing(0, block.arity, _width(t))
+    rows = [{pk.pack(e): 1} for e in monomials_of_degree(block, t)]
+    return IdealPresentation._from_rows(block, (pk, rows), False)
+
+
+def linear_ideal(
+    block: VariableBlock, forms: Iterable[Sequence[int]]
+) -> IdealPresentation:
+    """The ideal of the linear forms with these integer coefficient vectors."""
+    n = block.arity
+    pk = _packing(0, n, _width(1))
+    rows = []
+    for form in forms:
+        if len(form) != n or not all(type(c) is int for c in form):
+            raise ValueError("a form needs one integer coefficient per variable")
+        row = {k: c for k, c in zip(pk.units, form) if c}
+        if row:
+            rows.append(_primitive(row))
+    return IdealPresentation._from_rows(block, (pk, rows), False)
 
 
 def ideal_to_json(a: IdealPresentation) -> dict:

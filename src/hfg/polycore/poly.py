@@ -81,6 +81,18 @@ class Polynomial:
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(
+        cls, block: VariableBlock, terms: dict[Exponents, Fraction]
+    ) -> "Polynomial":
+        """The polynomial with exactly these terms, unchecked: arithmetic here
+        and the Groebner engine build them as exponent tuples of the block's
+        arity with no negative entry, and nonzero Fraction coefficients."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "block", block)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Polynomial is immutable")
 
@@ -153,10 +165,10 @@ class Polynomial:
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = terms.get(exps, 0) + c
-        return Polynomial(self.block, terms)
+        return Polynomial._trusted(self.block, {e: c for e, c in terms.items() if c})
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.block, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.block, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -165,7 +177,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.block)
-            return Polynomial(
+            return Polynomial._trusted(
                 self.block, {e: c * other for e, c in self.terms.items()}
             )
         self._check_block(other)
@@ -179,8 +191,8 @@ class Polynomial:
                 e = monomial_mul(e1, e2)
                 terms[e] = terms.get(e, 0) + c1 * c2
         den = den1 * den2
-        return Polynomial(
-            self.block, {e: Fraction(c, den) for e, c in terms.items()}
+        return Polynomial._trusted(
+            self.block, {e: Fraction(c, den) for e, c in terms.items() if c}
         )
 
     __rmul__ = __mul__
@@ -224,17 +236,6 @@ class Polynomial:
                     v *= f**e
             terms[exps] = v
         return Polynomial(self.block, terms)
-
-    def embed(self, target: VariableBlock, offset: int) -> "Polynomial":
-        """Positional embedding: variable i becomes target variable offset+i."""
-        arity = self.block.arity
-        if offset < 0 or offset + arity > target.arity:
-            raise ValueError("embedding does not fit in target block")
-        pre = (0,) * offset
-        post = (0,) * (target.arity - offset - arity)
-        return Polynomial(
-            target, {pre + e + post: c for e, c in self.terms.items()}
-        )
 
     # -- text and JSON -----------------------------------------------------
 

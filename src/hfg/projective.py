@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DomainError, ParseError
-from .polycore import PLANE, IdealPresentation, Polynomial, format_rational
+from .polycore import PLANE, IdealPresentation, Polynomial, format_rational, linear_ideal
 
 Scalar = Fraction | int
 
@@ -124,18 +124,19 @@ def delta_index(p: Point) -> int:
 
 
 def point_ideal(p: Point) -> IdealPresentation:
-    """The ideal of forms vanishing at p, presented by two independent
-    linear forms."""
-    k = next(i for i, c in enumerate(p.coords) if c != 0)
-    gens = []
+    """The ideal of forms vanishing at p, presented by the two independent
+    linear forms q_k*x_i - q_i*x_k, i != k, of its integer coordinates q,
+    with k the first nonzero one."""
+    q = primitive_coords(p.coords)
+    k = next(i for i, c in enumerate(q) if c)
+    forms = []
     for i in range(3):
-        if i == k:
-            continue
-        coeffs = [Fraction(0)] * 3
-        coeffs[i] = Fraction(1)
-        coeffs[k] = -p.coords[i]
-        gens.append(Polynomial.linear_form(PLANE, coeffs))
-    return IdealPresentation(PLANE, gens)
+        if i != k:
+            coeffs = [0, 0, 0]
+            coeffs[i] = q[k]
+            coeffs[k] = -q[i]
+            forms.append(coeffs)
+    return linear_ideal(PLANE, forms)
 
 
 def line_through(p: Point, q: Point) -> Line:

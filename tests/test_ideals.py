@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 from functools import reduce
 
@@ -27,7 +29,7 @@ from hfg.polycore import (
     normal_form,
     variables,
 )
-from hfg.polycore import ideals
+from hfg.polycore import groebner
 from hfg.polycore.groebner import _reduced_basis
 from hfg.projective import Point, hadamard_point, point_ideal
 
@@ -161,10 +163,10 @@ def test_eliminate_caches_the_basis_it_computed(monkeypatch):
     by_hand = eliminate([t * x0, t * x1, (one - t) * x1, (one - t) * x2], PLANE)
     meet = ideal_intersection(ideal("x0", "x1"), ideal("x1", "x2"))
 
-    def no_buchberger(gens):
+    def no_buchberger(*args):
         raise AssertionError("a second Buchberger run")
 
-    monkeypatch.setattr(ideals, "groebner_basis", no_buchberger)
+    monkeypatch.setattr(groebner, "_buchberger", no_buchberger)
     assert by_hand.groebner_basis() == (X1, X0 * X2)
     assert by_hand.contains(poly("x0*x1*x2 + x1^3"))
     assert not by_hand.contains(poly("x0"))
@@ -210,3 +212,128 @@ def test_eliminate_is_the_kept_part_of_the_full_elimination_basis(case):
         if not any(any(e[k:]) for e in g.terms)
     )
     assert eliminate(gens, keep).groebner_basis() == kept
+
+
+def test_intersection_with_the_zero_ideal_is_zero():
+    zero = IdealPresentation(PLANE, [])
+    for meet in (
+        ideal_intersection(zero, ideal("x0")),
+        ideal_intersection(ideal("x0"), zero),
+        ideal_intersection(zero, zero),
+    ):
+        assert meet.is_zero
+        assert meet.groebner_basis() == ()
+
+
+# -- the packed constructions against Polynomial ones -------------------------
+
+
+def _embed(f, ext, offset):
+    """f on `ext`, variable i becoming variable offset + i."""
+    pad = ext.arity - offset - f.block.arity
+    front = (0,) * offset
+    return Polynomial(ext, {front + e + (0,) * pad: c for e, c in f.terms.items()})
+
+
+def _reference_intersection(a, b):
+    ext = PLANE.extended(["t"])
+    t = Polynomial.variable(ext, 3)
+    one = Polynomial.constant(ext, 1)
+    gens = [t * _embed(f, ext, 0) for f in a.generators]
+    gens += [(one - t) * _embed(g, ext, 0) for g in b.generators]
+    return eliminate(gens, PLANE)
+
+
+def _reference_product(a, b, hadamard):
+    ext = PLANE.extended(["y0", "y1", "y2", "z0", "z1", "z2"])
+    v = variables(ext)
+    gens = [_embed(f, ext, 3) for f in a.generators]
+    gens += [_embed(g, ext, 6) for g in b.generators]
+    for i in range(3):
+        x, y, z = v[i], v[3 + i], v[6 + i]
+        gens.append(x - y * z if hadamard else x - y - z)
+    return eliminate(gens, PLANE)
+
+
+def _reference_power(a, m):
+    products = [
+        reduce(operator.mul, combo)
+        for combo in itertools.combinations_with_replacement(a.generators, m)
+    ]
+    return eliminate(products, PLANE)
+
+
+_coords = st.sampled_from([-2, -1, 1, 2, 3])
+
+
+@st.composite
+def _points(draw):
+    """A point of a stratum drawn first: coordinate point, coordinate line or
+    off the coordinate triangle."""
+    zeros = draw(st.sampled_from([(1, 2), (0,), (1,), (2,), ()]))
+    return Point(tuple(0 if i in zeros else draw(_coords) for i in range(3)))
+
+
+_point_powers = st.builds(
+    lambda p, m: ideal_power(point_ideal(p), m), _points(), st.integers(1, 2)
+)
+_monomial_ideals = st.lists(
+    st.tuples(*[st.integers(0, 2)] * 3).filter(any), min_size=1, max_size=3
+).map(lambda es: IdealPresentation.from_polys(*(Polynomial.monomial(PLANE, e) for e in es)))
+_linear_forms = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=3, max_size=3
+).filter(any)
+_linear_ideals = st.lists(_linear_forms, min_size=1, max_size=2).map(
+    lambda rows: IdealPresentation.from_polys(*(Polynomial.linear_form(PLANE, r) for r in rows))
+)
+_ideals = st.one_of(_point_powers, _monomial_ideals, _linear_ideals)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_ideals, _ideals, st.integers(2, 3))
+def test_packed_constructions_match_the_polynomial_ones(a, b, m):
+    pairs = [
+        (ideal_intersection(a, b), _reference_intersection(a, b)),
+        (hadamard_ideals(a, b), _reference_product(a, b, True)),
+        (join_ideals(a, b), _reference_product(a, b, False)),
+        (ideal_power(a, m), _reference_power(a, m)),
+    ]
+    for packed, reference in pairs:
+        assert packed.groebner_basis() == reference.groebner_basis()
+
+
+def test_a_kept_basis_is_read_by_every_consumer_unchanged(monkeypatch):
+    def build():
+        return ideal_intersection(
+            ideal_power(point_ideal(Point((1, 2, 3))), 2), point_ideal(Point((1, 1, 2)))
+        )
+
+    shared = build()
+    j = point_ideal(Point((2, 1, 1)))
+    k = ideal_power(point_ideal(Point((1, 5, 1))), 2)
+    member = reduce(operator.mul, build().generators[:2])
+    # 3 variables, at the basis's own width and at a wider one
+    for f, expected in ((member, True), (X0**300 * member, True), (X1**2, False)):
+        assert shared.contains(f) is build().contains(f) is expected
+    # 9 and 4 variables
+    for op, other in ((hadamard_ideals, j), (ideal_intersection, k)):
+        assert op(shared, other).groebner_basis() == op(build(), other).groebner_basis()
+    # engine runs that start narrower than the rows: repacked, and the
+    # Hadamard run overflows and widens
+    widths = []
+
+    def spy(front, nvars, width):
+        widths.append(width)
+        return groebner._Packing(front, nvars, width)
+
+    monkeypatch.setattr(groebner, "_packing", spy)
+    monkeypatch.setattr(groebner, "_width", lambda top: top.bit_length() + 1)
+    narrow = [hadamard_ideals(shared, j).groebner_basis()]
+    assert widths[:2] == [widths[0], 2 * widths[0]]
+    narrow.append(ideal_intersection(shared, k).groebner_basis())
+    monkeypatch.undo()
+    assert narrow == [
+        hadamard_ideals(build(), j).groebner_basis(),
+        ideal_intersection(build(), k).groebner_basis(),
+    ]
+    assert shared.groebner_basis() == build().groebner_basis()

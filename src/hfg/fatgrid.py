@@ -85,11 +85,12 @@ def _support_candidates(ws: WeightedPointSet) -> list[Line]:
     if ws.size >= 2:
         return [line_through(ws.points[0], ws.points[1])]
     point = ws.points[0]
-    candidates = [
+    # the first image has a zero x2 coefficient and a nonzero x1 one, the
+    # second the reverse, so the two are never the same line
+    return [
         hadamard_line_point(_ROW_TEMPLATE, point),
         hadamard_line_point(_COL_TEMPLATE, point),
     ]
-    return [l for i, l in enumerate(candidates) if l not in candidates[:i]]
 
 
 @dataclass(frozen=True)

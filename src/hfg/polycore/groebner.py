@@ -1,10 +1,12 @@
 """Buchberger's algorithm with Gebauer-Moeller pair handling.
 
-The public entry points work on Polynomial (Fraction coefficients); the
-engine itself runs on content-free integer polynomials with positive leading
+The engine runs on content-free integer polynomials with positive leading
 coefficient, which keeps the inner loop in machine-int / bigint arithmetic.
 `hfg.polycore.ideals` hands it such rows directly and keeps its results in
 that form (`Packed`), so Polynomials are built only where they are read.
+Three adapters take lists of Polynomial (Fraction coefficients) instead:
+`groebner_basis`, `normal_form` and `_reduced_basis`, the basis under an
+elimination order.
 Monomials are packed into ints (see _Packing), so multiplying
 monomials is an integer add, comparing them is an integer compare and
 testing divisibility is a mask test.  The monomial order is grevlex;
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import lshift
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from ..errors import BlockMismatchError
 from .poly import Exponents, Polynomial, VariableBlock
@@ -33,7 +35,6 @@ from .poly import Exponents, Polynomial, VariableBlock
 # An integer polynomial maps the packed order key K of each monomial to its
 # coefficient.
 IntPoly = dict[int, int]
-T = TypeVar("T")
 
 
 class _Overflow(Exception):
@@ -362,21 +363,6 @@ def _width(top: int) -> int:
     return max(8, (4 * top).bit_length() + 1)
 
 
-def _packed(run: Callable[[_Packing], T], top: int, front: int, nvars: int) -> T:
-    """Run `run` on a packing wide enough for input of degree `top`,
-    widening on overflow.
-
-    A monomial that does not fit aborts the run, which restarts from the
-    input at twice the width, so no field ever wraps.
-    """
-    width = _width(top)
-    while True:
-        try:
-            return run(_packing(front, nvars, width))
-        except _Overflow:
-            width *= 2
-
-
 # Rows on the packing they belong to: an ideal's generators or its reduced
 # basis in the engine's form, all in the packing's first variables.
 Packed = tuple[_Packing, list[IntPoly]]
@@ -445,19 +431,25 @@ def _eliminated(
     other variables has no term in them, and only such rows have leading
     monomials that divide its terms, so with `kept_only` the other rows are
     dropped before interreduction.
+
+    The first packing is wide enough for input of degree `top`.  A monomial
+    that does not fit aborts the run, which restarts from the input at twice
+    the width, so no field ever wraps.
     """
-
-    def run(pk: _Packing) -> Packed:
-        G = _buchberger(inputs(pk), pk)
-        if kept_only:
-            # the eliminated variables hold the fields from `front` up, so a
-            # key avoids them exactly when it is below the first such field;
-            # every key of a kept row is at most its leading key
-            bound = 1 << (front * pk.width)
-            G = [row for row in G if row.lm < bound]
-        return pk, [row.terms for row in _interreduce(G, pk)]
-
-    return _packed(run, top, front, nvars)
+    width = _width(top)
+    while True:
+        pk = _packing(front, nvars, width)
+        try:
+            G = _buchberger(inputs(pk), pk)
+            if kept_only:
+                # the eliminated variables hold the fields from `front` up,
+                # so a key avoids them exactly when it is below the first
+                # such field; every key of a kept row is at most its leading key
+                bound = 1 << (front * pk.width)
+                G = [row for row in G if row.lm < bound]
+            return pk, [row.terms for row in _interreduce(G, pk)]
+        except _Overflow:
+            width *= 2
 
 
 def _monic(packed: Packed, block: VariableBlock) -> tuple[Polynomial, ...]:
@@ -483,55 +475,37 @@ def _common_block(polys: Sequence[Polynomial]) -> VariableBlock:
 
 def groebner_basis(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     """Reduced monic grevlex Groebner basis, sorted by leading monomial."""
-    return _reduced_basis(gens, 0, False)
+    return _reduced_basis(gens, 0)
 
 
-def _reduced_basis(
-    gens: Sequence[Polynomial], front: int, kept_only: bool
-) -> tuple[Polynomial, ...]:
-    """Reduced monic basis under the order of _Packing(front, ...); with
-    `kept_only`, just its elements in the first `front` variables, on the
-    block of those variables (see `_eliminated`)."""
+def _reduced_basis(gens: Sequence[Polynomial], front: int) -> tuple[Polynomial, ...]:
+    """Reduced monic basis under the order of _Packing(front, ...)."""
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         return ()
     block = _common_block(nonzero)
-    out = VariableBlock(block.names[:front]) if kept_only else block
     packed = _eliminated(
-        lambda pk: _polys_on(nonzero, pk), _top(nonzero), front, block.arity, kept_only
+        lambda pk: _polys_on(nonzero, pk), _top(nonzero), front, block.arity, False
     )
-    return _monic(packed, out)
-
-
-def normal_forms(
-    fs: Sequence[Polynomial], basis: Sequence[Polynomial]
-) -> list[Polynomial]:
-    """Remainders of every f under division by `basis`, packing it once.
-
-    Each step divides by the first element of `basis`, in list order, whose
-    grevlex leading monomial divides the leading monomial of what is left.
-    The remainders are unique if `basis` is a Groebner basis.
-    """
-    todo = [f for f in fs if not f.is_zero]
-    if not todo:
-        return list(fs)
-    nonzero = [g for g in basis if not g.is_zero]
-    block = _common_block(todo + nonzero)
-
-    def run(pk: _Packing) -> list[Polynomial]:
-        rows = [_Row(g, pk) for g in _polys_on(nonzero, pk)]
-        memo: dict[int, int] = {}
-
-        def remainder(f: Polynomial) -> Polynomial:
-            num, den = _to_int_poly(f, pk)
-            rem, scale = _reduce(num, rows, pk, memo)
-            return _from_int_poly(rem, den * scale, block, pk)
-
-        return [f if f.is_zero else remainder(f) for f in fs]
-
-    return _packed(run, _top(todo + nonzero), 0, block.arity)
+    return _monic(packed, block)
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of f under division by `basis`; see `normal_forms`."""
-    return normal_forms([f], basis)[0]
+    """Remainder of f under division by `basis`.
+
+    Each step divides by the first element of `basis`, in list order, whose
+    grevlex leading monomial divides the leading monomial of what is left.
+    The remainder is unique if `basis` is a Groebner basis.
+    """
+    if f.is_zero:
+        return f
+    nonzero = [g for g in basis if not g.is_zero]
+    polys = [f] + nonzero
+    block = _common_block(polys)
+    # under grevlex no term of a reduction outgrows the degree of f, so the
+    # packing the engine picks for the input never overflows
+    pk = _packing(0, block.arity, _width(_top(polys)))
+    num, den = _to_int_poly(f, pk)
+    rows = [_Row(g, pk) for g in _polys_on(nonzero, pk)]
+    rem, scale = _reduce(num, rows, pk, {})
+    return _from_int_poly(rem, den * scale, block, pk)

@@ -1,8 +1,9 @@
 """Ideal presentations and the operations built on elimination.
 
 An IdealPresentation is a generator list plus its cached reduced grevlex
-Groebner basis, both kept in the engine's packed integer form once known;
-Polynomials are built only when `generators` or `groebner_basis()` is read.
+Groebner basis, both kept in the engine's packed integer form: generators
+given as Polynomials are packed at construction, and Polynomials are built
+only when `generators` or `groebner_basis()` is read.
 Since the reduced basis is canonical, ideal equality is basis equality.
 Elimination orders the eliminated block above grevlex on the retained one,
 so the restriction of its reduced basis to the retained block is the
@@ -35,7 +36,6 @@ from .groebner import (
     _polys_on,
     _polys_packed,
     _primitive,
-    _to_int_poly,
     _top,
     _width,
 )
@@ -45,10 +45,11 @@ from .poly import PLANE, Polynomial, VariableBlock, monomials_of_degree
 class IdealPresentation:
     """An ideal of the polynomial ring on `block`, by generators.
 
-    The generators are held as Polynomials, as packed engine rows, or both:
-    an ideal built by the engine or by `ideal_power` has rows only, and its
-    `generators` are built when first read.  The reduced basis is kept in
-    packed form once known; the engine's results know it from the start.
+    The generators are held as packed engine rows from construction.  The
+    Polynomials an ideal is given are kept to answer `generators`; an ideal
+    built by the engine or by `ideal_power` builds them when first read.
+    The reduced basis is kept in packed form once known; the engine's
+    results know it from the start.
     """
 
     __slots__ = ("block", "_gens", "_basis", "_gen_rows", "_basis_rows")
@@ -63,7 +64,7 @@ class IdealPresentation:
         self.block = block
         self._gens: tuple[Polynomial, ...] | None = tuple(gens)
         self._basis: tuple[Polynomial, ...] | None = None
-        self._gen_rows: Packed | None = None
+        self._gen_rows: Packed = _polys_packed(gens, block.arity)
         self._basis_rows: Packed | None = None
 
     @classmethod
@@ -94,24 +95,16 @@ class IdealPresentation:
                 self._gens = _monic(self._gen_rows, self.block)
         return self._gens
 
-    def _generator_rows(self) -> Packed:
-        if self._gen_rows is None:
-            self._gen_rows = _polys_packed(self._gens, self.block.arity)
-        return self._gen_rows
-
     def _reduced_rows(self) -> Packed:
         if self._basis_rows is None:
-            gens = self._generator_rows()
-            if not gens[1]:
-                self._basis_rows = gens
-            else:
-                self._basis_rows = _eliminated(
-                    lambda pk: _moved(gens, pk),
-                    self.max_generator_degree(),
-                    0,
-                    self.block.arity,
-                    False,
-                )
+            gens = self._gen_rows
+            self._basis_rows = _eliminated(
+                lambda pk: _moved(gens, pk),
+                self.max_generator_degree(),
+                0,
+                self.block.arity,
+                False,
+            )
         return self._basis_rows
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
@@ -121,13 +114,9 @@ class IdealPresentation:
 
     @property
     def is_zero(self) -> bool:
-        if self._gens is not None:
-            return not self._gens
         return not self._gen_rows[1]
 
     def max_generator_degree(self) -> int:
-        if self._gens is not None:
-            return max((g.total_degree() for g in self._gens), default=-1)
         # on the block's variables every packing orders by degree first, so
         # a leading monomial has its row's top degree
         pk, rows = self._gen_rows
@@ -138,16 +127,13 @@ class IdealPresentation:
             return True
         if f.block != self.block:
             raise BlockMismatchError("polynomial lives on a different block")
-        pk, (basis,) = _common_packing(
-            self.block.arity, f.total_degree(), self._reduced_rows()
-        )
-        return _all_reduce_to_zero([_to_int_poly(f, pk)[0]], basis, pk)
+        return self.contains_ideal(IdealPresentation(self.block, (f,)))
 
     def contains_ideal(self, other: "IdealPresentation") -> bool:
         if self.block != other.block:
             raise BlockMismatchError("ideals live on different blocks")
         pk, (basis, gens) = _common_packing(
-            self.block.arity, 0, self._reduced_rows(), other._generator_rows()
+            self.block.arity, 0, self._reduced_rows(), other._gen_rows
         )
         return _all_reduce_to_zero(gens, basis, pk)
 
@@ -170,7 +156,7 @@ def ideal_power(a: IdealPresentation, m: int) -> IdealPresentation:
     if m == 1:
         # I^1 = I: the same presentation, with its cached basis
         return a
-    src = a._generator_rows()
+    src = a._gen_rows
     # products of primitive rows are primitive, with positive leading
     # coefficient; the width is the one the engine picks for their degree
     width = _width(m * max(a.max_generator_degree(), 0))
@@ -238,7 +224,7 @@ def ideal_intersection(
         # (0) meet J is (0)
         return IdealPresentation(block, ())
     n = block.arity
-    ga, gb = a._generator_rows(), b._generator_rows()
+    ga, gb = a._gen_rows, b._gen_rows
     top = 1 + max(a.max_generator_degree(), b.max_generator_degree())
 
     def inputs(pk: _Packing) -> list[IntPoly]:
@@ -265,7 +251,7 @@ def _product_construction(
         raise BlockMismatchError("ideals live on different blocks")
     block = a.block
     n = block.arity
-    ga, gb = a._generator_rows(), b._generator_rows()
+    ga, gb = a._gen_rows, b._gen_rows
     top = max(a.max_generator_degree(), b.max_generator_degree(), 2 if hadamard else 1)
 
     def inputs(pk: _Packing) -> list[IntPoly]:
@@ -302,14 +288,14 @@ def hadamard_transform(f: Polynomial, point: Sequence) -> Polynomial:
     return f.scale_variables([1 / c for c in coords])
 
 
-def irrelevant_power(t: int, block: VariableBlock = PLANE) -> IdealPresentation:
-    """The t-th power of the irrelevant maximal ideal, presented by the
-    degree-t monomials."""
+def irrelevant_power(t: int) -> IdealPresentation:
+    """The t-th power of the irrelevant maximal ideal of the plane,
+    presented by the degree-t monomials."""
     if t < 1:
         raise DomainError("irrelevant power wants a positive exponent")
-    pk = _packing(0, block.arity, _width(t))
-    rows = [{pk.pack(e): 1} for e in monomials_of_degree(block, t)]
-    return IdealPresentation._from_rows(block, (pk, rows), False)
+    pk = _packing(0, PLANE.arity, _width(t))
+    rows = [{pk.pack(e): 1} for e in monomials_of_degree(PLANE, t)]
+    return IdealPresentation._from_rows(PLANE, (pk, rows), False)
 
 
 def linear_ideal(

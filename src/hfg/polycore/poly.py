@@ -113,10 +113,8 @@ class Polynomial:
         return cls(block, {tuple(exps): 1})
 
     @classmethod
-    def monomial(
-        cls, block: VariableBlock, exps: Sequence[int], coeff: Scalar = 1
-    ) -> "Polynomial":
-        return cls(block, {tuple(exps): coeff})
+    def monomial(cls, block: VariableBlock, exps: Sequence[int]) -> "Polynomial":
+        return cls(block, {tuple(exps): 1})
 
     @classmethod
     def linear_form(cls, block: VariableBlock, coeffs: Sequence[Scalar]) -> "Polynomial":

@@ -15,6 +15,7 @@ from hfg.errors import BudgetExceededError, DomainError, GridError, ParseError
 from hfg.fatgrid import (
     FatGrid,
     WeightedPointSet,
+    _support_candidates,
     abstract_grid,
     build_grid,
     expand_pattern,
@@ -74,6 +75,9 @@ def test_single_point_grid():
     assert g.mult == ((1,),)
     p = g.grid_points[0][0]
     assert p == hadamard_point(g.row_set.points[0], g.col_set.points[0])
+    # the two support candidates of a singleton are distinct lines
+    first, second = _support_candidates(g.row_set)
+    assert first != second
 
 
 def test_grid_lines_incidence_structure(example_grid):

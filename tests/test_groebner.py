@@ -26,7 +26,6 @@ from hfg.polycore.groebner import (
     _Row,
     _primitive,
     _to_int_poly,
-    normal_forms,
 )
 from hfg.projective import Point, point_ideal
 
@@ -172,7 +171,7 @@ def test_widening_when_a_remainder_outgrows_the_input_degree(monkeypatch):
     # with t on top, t -> x0^100 drives the degree far past the input's
     x0, x1, t = variables(XT)
     widths = _spy_widths(monkeypatch)
-    basis = _reduced_basis([t - x0**100, t**10 - x1], 2, False)
+    basis = _reduced_basis([t - x0**100, t**10 - x1], 2)
     assert basis == (x0**1000 - x1, t - x0**100)
     assert widths == [10, 20]
     widths.clear()
@@ -188,20 +187,30 @@ def test_normal_form_divides_by_the_first_divisor_in_list_order():
     assert normal_form(3 * X0**2, [X0 - X2, X0 - half * X1]) == 3 * X2**2
 
 
-def test_normal_forms_of_many_polynomials_match_one_at_a_time(monkeypatch):
-    basis = [X0 - X1**100, 2 * X1 * X2 - X0]
-    fs = [X1 * X2**2, Polynomial.zero(PLANE), X0**10, Fraction(1, 3) * X0 * X2 + X1]
-    assert normal_forms(fs, basis) == [normal_form(f, basis) for f in fs]
-    assert normal_forms([], basis) == []
+@pytest.mark.parametrize(
+    "f, remainder",
+    [
+        (X1 * X2**2, Fraction(1, 2) * X0 * X2),
+        (Polynomial.zero(PLANE), Polynomial.zero(PLANE)),
+        # grevlex leads with x1**100, so x0**10 meets no divisor
+        (X0**10, X0**10),
+        (Fraction(1, 3) * X0 * X2 + X1, Fraction(1, 3) * X0 * X2 + X1),
+    ],
+)
+def test_normal_form_remainders_against_a_fixed_list(f, remainder):
+    assert normal_form(f, [X0 - X1**100, 2 * X1 * X2 - X0]) == remainder
+
+
+def test_a_widened_run_ends_where_a_wide_one_does(monkeypatch):
     # t**10 forces the block-order run to widen mid-way, which restarts every
     # reduction from the input; it ends where a run wide from the start does
     x0, x1, t = variables(XT)
     gens = [t - x0**100, 2 * x1 * t - x0, t**10 - x1]
     widths = _spy_widths(monkeypatch)
-    widened = _reduced_basis(gens, 2, False)
+    widened = _reduced_basis(gens, 2)
     assert widths == [10, 20]
     monkeypatch.setattr(groebner, "_packing", lambda front, n, width: _Packing(front, n, 64))
-    assert _reduced_basis(gens, 2, False) == widened
+    assert _reduced_basis(gens, 2) == widened
 
 
 def test_normal_form_against_a_non_groebner_list_is_exact():
@@ -278,7 +287,7 @@ def test_pinned_reduced_bases():
     d = [y0 - y1 * y2, y1 * y3 - y2**2 + two, y0**2 * y3 - Fraction(1, 3) * y1]
     for gens, pinned in ((a, GREVLEX_BASIS), (d, INHOMOGENEOUS_GREVLEX_BASIS)):
         assert [g.to_json_terms() for g in groebner_basis(gens)] == pinned
-    assert [g.to_json_terms() for g in _reduced_basis(b, 3, False)] == ELIM_BASIS
+    assert [g.to_json_terms() for g in _reduced_basis(b, 3)] == ELIM_BASIS
 
 
 # -- the first-divisor memo of _reduce ----------------------------------------

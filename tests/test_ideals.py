@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfg.errors import DomainError
+from hfg.errors import BlockMismatchError, DomainError
 from hfg.polycore import (
     PLANE,
     IdealPresentation,
     Polynomial,
     VariableBlock,
     eliminate,
+    groebner_basis,
     hadamard_ideals,
     hadamard_transform,
     ideal_equal,
@@ -205,7 +206,7 @@ def small_eliminations(draw):
 def test_eliminate_is_the_kept_part_of_the_full_elimination_basis(case):
     gens, k = case
     keep = VariableBlock(gens[0].block.names[:k])
-    full = _reduced_basis(gens, k, False)
+    full = _reduced_basis(gens, k)
     kept = tuple(
         Polynomial(keep, {e[:k]: c for e, c in g.terms.items()})
         for g in full
@@ -337,3 +338,45 @@ def test_a_kept_basis_is_read_by_every_consumer_unchanged(monkeypatch):
         ideal_intersection(build(), k).groebner_basis(),
     ]
     assert shared.groebner_basis() == build().groebner_basis()
+
+
+def test_an_ideal_built_from_polynomials_keeps_them():
+    gens = [X0**3 - X1, Polynomial.zero(PLANE), Fraction(1, 2) * X1 * X2 + X0, X2**2]
+    ideal = IdealPresentation(PLANE, gens)
+    nonzero = (gens[0], gens[2], gens[3])
+    assert ideal.generators == nonzero
+    assert all(map(operator.is_, ideal.generators, nonzero))
+    # inhomogeneous: the degree of the largest generator, not of the first
+    assert ideal.max_generator_degree() == max(g.total_degree() for g in gens) == 3
+    other = VariableBlock(("y0", "y1", "y2"))
+    assert ideal.contains(Polynomial.zero(other))
+    with pytest.raises(BlockMismatchError):
+        ideal.contains(Polynomial.variable(other, 0))
+
+
+_plane_monomials = [e for d in range(3) for e in monomials_of_degree(PLANE, d)]
+_plane_polys = st.lists(
+    st.tuples(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+        st.sampled_from(_plane_monomials),
+    ),
+    max_size=3,
+).map(
+    lambda terms: reduce(
+        operator.add,
+        (c * Polynomial.monomial(PLANE, e) for c, e in terms),
+        Polynomial.zero(PLANE),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(_plane_polys, min_size=1, max_size=3), _plane_polys)
+def test_the_polynomial_routes_agree_with_the_ideal(gens, f):
+    ideal = IdealPresentation(PLANE, gens)
+    basis = groebner_basis(gens)
+    assert basis == ideal.groebner_basis()
+    # f itself, and a multiple of a generator, which is always a member
+    for h in (f, f * gens[0]):
+        assert normal_form(h, basis).is_zero == ideal.contains(h)
+    assert ideal.contains(f * gens[0])

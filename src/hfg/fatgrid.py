@@ -9,7 +9,7 @@ lines; construction validates that structure exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .budget import Budget, DEFAULT_BUDGET
@@ -273,6 +273,38 @@ def symbolic_grid(g: FatGrid, t: int) -> FatGrid:
     return build_grid(
         WeightedPointSet.make(g.row_set.points, new_m),
         WeightedPointSet.make(g.col_set.points, new_n),
+    )
+
+
+def rotate_coordinates(g: FatGrid) -> FatGrid:
+    """The same grid in the coordinates (x1, x2, x0).
+
+    Every point and line of g has its coordinates cycled, so x0 becomes the
+    last variable; a line's coefficients cycle with the point coordinates,
+    which keeps every incidence and every distinctness.  Multiplicities,
+    indexing and the ``swapped`` flag stay as they are, and nothing is
+    rebuilt, so a singleton set keeps the support line it was built with.
+    Three rotations give back g.
+    """
+
+    def point(p: Point) -> Point:
+        return Point(p.coords[1:] + p.coords[:1])
+
+    def line(l: Line) -> Line:
+        return Line(l.coeffs[1:] + l.coeffs[:1])
+
+    def weighted(ws: WeightedPointSet) -> WeightedPointSet:
+        return replace(ws, points=tuple(point(p) for p in ws.points))
+
+    return replace(
+        g,
+        row_set=weighted(g.row_set),
+        col_set=weighted(g.col_set),
+        row_line=line(g.row_line),
+        col_line=line(g.col_line),
+        grid_points=tuple(tuple(point(p) for p in row) for row in g.grid_points),
+        h_lines=tuple(line(l) for l in g.h_lines),
+        v_lines=tuple(line(l) for l in g.v_lines),
     )
 
 

@@ -21,6 +21,7 @@ from .fatgrid import (
     FatGrid,
     expand_pattern,
     grid_ideal_intersection,
+    rotate_coordinates,
     symbolic_grid,
 )
 from .invariants import (
@@ -456,12 +457,20 @@ def grid_elimination_unit(
     """The pattern ideal against the intersection oracle, then for each
     t = 1..t_max the t-th power of that oracle against the oracle of the
     t-th symbolic grid.  The base oracle is built once; an equality over a
-    cap is recorded as skipped."""
-    oracle = grid_ideal_intersection(g, budget)
+    cap is recorded as skipped.
+
+    Every ideal is built on the grids turned by ``rotate_coordinates``, so
+    x0 is the engine's last variable.  A permutation of coordinates keeps
+    ideal equality, and a grid's lines, led by x1 and x2, are then in
+    general position for grevlex: on the abstract grids the oracle's reduced
+    basis has one element per generator pattern.  Each symbolic grid is
+    built on g's points first and turned afterwards."""
+    rotated = rotate_coordinates(g)
+    oracle = grid_ideal_intersection(rotated, budget)
     instances = [
         verdict(
             "pattern ideal equals the intersection oracle",
-            ideal_equal(pattern_ideal(g), oracle),
+            ideal_equal(pattern_ideal(rotated), oracle),
         )
     ]
     for t in range(1, t_max + 1):
@@ -476,7 +485,9 @@ def grid_elimination_unit(
             sym_oracle = (
                 oracle
                 if t == 1
-                else grid_ideal_intersection(symbolic_grid(g, t), budget)
+                else grid_ideal_intersection(
+                    rotate_coordinates(symbolic_grid(g, t)), budget
+                )
             )
             instances.append(verdict(label, ideal_equal(power, sym_oracle)))
         except BudgetExceededError as exc:
@@ -517,8 +528,8 @@ def grid_hilbert_unit(g: FatGrid, budget: Budget) -> list[CheckInstance]:
 
 def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
     """The grid checks as independent (unit, args) jobs, longest first so
-    that a process pool starts them in that order: the elimination oracle,
-    the rank oracle, the structure checks.
+    that a process pool starts them in that order: the rank oracle, the
+    elimination oracle, the structure checks.
 
     The grid cap, the certificate depth and the rank oracle's matrix cap
     are checked here, before any unit runs.  Every unit takes the built
@@ -530,8 +541,8 @@ def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
     t_max = certificate_depth(t_max)
     _check_rank_matrix(g, max(resolution(g).syzygy_twists), budget)
     return [
-        (grid_elimination_unit, (g, t_max, budget)),
         (grid_hilbert_unit, (g, budget)),
+        (grid_elimination_unit, (g, t_max, budget)),
         (grid_structure_unit, (g,)),
     ]
 
@@ -541,7 +552,7 @@ def grid_report(g: FatGrid, t_max: int, results) -> VerificationReport:
     pattern ideal, Hilbert function by degree, for each t the three
     combinatorial resurgence instances followed by the elimination oracle's,
     and the initial degree."""
-    elimination, hilbert, structure = results
+    hilbert, elimination, structure = results
     certificate = resurgence_certificate(g, t_max).instances
     resurgence = []
     for t, oracle in enumerate(elimination[1:]):

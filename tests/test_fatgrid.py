@@ -22,6 +22,7 @@ from hfg.fatgrid import (
     grid_from_json,
     grid_ideal_intersection,
     grid_to_json,
+    rotate_coordinates,
     symbolic_grid,
 )
 from hfg.invariants import generator_patterns
@@ -300,14 +301,67 @@ def test_role_swap_keeps_rows_smaller():
     assert not g.v_lines[0].contains(g.grid_points[0][0])
 
 
-def test_swapped_explicit_grid_survives_pickling():
+def _swapped_explicit_grid():
     rows = WeightedPointSet.make(COLLINEAR, [1, 2, 1])
     cols = WeightedPointSet.make([Point((1, 2, 1)), Point((1, 3, 1))], [1, 2])
-    g = build_grid(rows, cols)
+    return build_grid(rows, cols)
+
+
+def test_swapped_explicit_grid_survives_pickling():
+    g = _swapped_explicit_grid()
     assert g.swapped
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g
     assert copy.swapped
+
+
+def _assert_rotated(g, rotated):
+    """``rotated`` is g in the coordinates (x1, x2, x0): same shape,
+    multiplicities and flag, every point and line cycled, and each grid
+    point on its own h-line and v-line and on no other."""
+    assert rotated.shape == g.shape
+    assert rotated.mult == g.mult
+    assert rotated.swapped == g.swapped
+    assert rotated.row_multiplicities == g.row_multiplicities
+    assert rotated.col_multiplicities == g.col_multiplicities
+    r, s = g.shape
+    for i in range(r):
+        for j in range(s):
+            p, q = g.grid_points[i][j], rotated.grid_points[i][j]
+            assert q == Point((p[1], p[2], p[0]))
+            assert [k for k, l in enumerate(rotated.h_lines) if l.contains(q)] == [r - 1 - i]
+            assert [k for k, l in enumerate(rotated.v_lines) if l.contains(q)] == [s - 1 - j]
+    assert all(rotated.row_line.contains(p) for p in rotated.row_set.points)
+    assert all(rotated.col_line.contains(q) for q in rotated.col_set.points)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        abstract_grid((2, 3, 3), (2, 3, 4, 4)),
+        abstract_grid((2,), (3,)),
+        abstract_grid((1, 2), (1,)),
+        _swapped_explicit_grid(),
+        symbolic_grid(abstract_grid((1, 2), (1, 2, 3)), 2),
+    ],
+    ids=["example", "singleton", "swapped", "swapped-explicit", "t2"],
+)
+def test_rotated_grid_keeps_its_structure_and_three_turns_give_it_back(grid):
+    once = rotate_coordinates(grid)
+    _assert_rotated(grid, once)
+    thrice = rotate_coordinates(rotate_coordinates(once))
+    assert thrice == grid
+    assert thrice.swapped == grid.swapped
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(weighted_collinear_sets(), weighted_collinear_sets())
+def test_rotation_keeps_explicit_grid_incidences(rows, cols):
+    try:
+        g = build_grid(rows, cols)
+    except GridError:
+        return
+    _assert_rotated(g, rotate_coordinates(g))
 
 
 def test_duplicate_grid_point_rejected():

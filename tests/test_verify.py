@@ -13,8 +13,17 @@ from hypothesis import strategies as st
 import hfg.conditions
 import hfg.verify
 from hfg.budget import DEFAULT_BUDGET
-from hfg.errors import BudgetExceededError, DomainError
-from hfg.fatgrid import abstract_grid, expand_pattern, grid_from_json
+from hfg.errors import BudgetExceededError, DomainError, GridError
+from hfg.fatgrid import (
+    WeightedPointSet,
+    abstract_grid,
+    build_grid,
+    expand_pattern,
+    grid_from_json,
+    grid_ideal_intersection,
+    rotate_coordinates,
+    symbolic_grid,
+)
 from hfg.invariants import generator_patterns, resolution
 from hfg.polycore import (
     PLANE,
@@ -24,7 +33,8 @@ from hfg.polycore import (
     monomials_of_degree,
     variables,
 )
-from hfg.projective import Point, point_ideal
+from hfg.projective import Point, line_through, point_ideal
+from hfg.report import skipped, verdict
 from hfg.verify import (
     check_grid_end_to_end,
     check_join_symbolic,
@@ -34,9 +44,12 @@ from hfg.verify import (
     grid_elimination_unit,
     hilbert_function_oracle,
     hilbert_series_oracle,
+    pattern_ideal,
     pivot_columns,
     vanishing_order,
 )
+
+from conftest import small_grid_profiles
 
 X0, X1, X2 = variables(PLANE)
 
@@ -413,6 +426,101 @@ def test_resurgence_skip_builds_no_ideal_power(monkeypatch):
         ),
     ]
     assert powers == [1]
+
+
+def _elimination_unit_in_original_coordinates(g, t_max, budget):
+    """The elimination unit with every ideal built on g and its symbolic
+    grids as they are, with x2 as the engine's last variable."""
+    oracle = grid_ideal_intersection(g, budget)
+    instances = [
+        verdict(
+            "pattern ideal equals the intersection oracle",
+            ideal_equal(pattern_ideal(g), oracle),
+        )
+    ]
+    for t in range(1, t_max + 1):
+        label = "t=%d: ordinary power equals symbolic power (elimination oracle)" % t
+        try:
+            budget.check_grid(t * g.total_multiplicity)
+            budget.check_groebner(t * oracle.max_generator_degree())
+            sym = oracle if t == 1 else grid_ideal_intersection(symbolic_grid(g, t), budget)
+            instances.append(verdict(label, ideal_equal(ideal_power(oracle, t), sym)))
+        except BudgetExceededError as exc:
+            instances.append(skipped(label, "equal", exc))
+    return instances
+
+
+def _seeded_explicit_grid(seed):
+    """A grid M=(1,2), N=(1,2) on points of small height, each set on a
+    line through two points drawn from the seed, redrawn until it builds."""
+    rng = random.Random(seed)
+    pool = list(
+        dict.fromkeys(
+            Point(c) for c in itertools.product((-3, -2, -1, 1, 2, 3), repeat=3)
+        )
+    )
+
+    def collinear_pair():
+        while True:
+            first, second = rng.sample(pool, 2)
+            line = line_through(first, second)
+            others = [p for p in pool if line.contains(p) and p != first]
+            if others:
+                return [first, rng.choice(others)]
+
+    while True:
+        try:
+            return build_grid(
+                WeightedPointSet.make(collinear_pair(), (1, 2)),
+                WeightedPointSet.make(collinear_pair(), (1, 2)),
+            )
+        except GridError:
+            continue
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [abstract_grid(m, n) for m, n in small_grid_profiles()]
+    + [_seeded_explicit_grid(seed) for seed in (1, 2, 3)],
+    ids=[
+        "%s|%s" % (",".join(map(str, m)), ",".join(map(str, n)))
+        for m, n in small_grid_profiles()
+    ]
+    + ["explicit-seed-%d" % seed for seed in (1, 2, 3)],
+)
+def test_rotated_elimination_unit_matches_the_original_coordinates(grid):
+    """Turning the coordinates changes no verdict; it can only let an
+    equality run that the degree cap skipped before."""
+    got = grid_elimination_unit(grid, 2, DEFAULT_BUDGET)
+    reference = _elimination_unit_in_original_coordinates(grid, 2, DEFAULT_BUDGET)
+    assert [inst.label for inst in got] == [inst.label for inst in reference]
+    for new, old in zip(got, reference):
+        assert (new.passed, new.computed) == (old.passed, old.computed) or (
+            old.computed == "not computed" and new.computed == "equal" and new.passed
+        )
+    assert all(inst.passed is not False for inst in got)
+
+
+def test_pattern_ideal_instance_fails_without_one_pattern(monkeypatch):
+    patterns = hfg.verify.generator_patterns
+    monkeypatch.setattr(hfg.verify, "generator_patterns", lambda g: patterns(g)[1:])
+    g = abstract_grid((1, 2), (1, 2))
+    first = grid_elimination_unit(g, 1, DEFAULT_BUDGET)[0]
+    assert first.label == "pattern ideal equals the intersection oracle"
+    assert (first.passed, first.computed) == (False, "different")
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [((2, 3, 3), (2, 3, 4, 4)), ((1, 2, 3), (1, 2, 3, 4))],
+    ids=["example", "1,2,3|1,2,3,4"],
+)
+def test_rotated_oracle_basis_is_the_generator_patterns(profile, example_budget):
+    """With x0 last, the oracle's reduced basis has one element per minimal
+    generator; with x2 last it has 17 on the example and 13 here."""
+    g = abstract_grid(*profile)
+    oracle = grid_ideal_intersection(rotate_coordinates(g), example_budget)
+    assert len(oracle.generators) == len(generator_patterns(g)) == 7
 
 
 def test_hilbert_oracle_single_point():

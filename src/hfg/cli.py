@@ -174,6 +174,13 @@ _format_option = click.option(
     show_default=True,
     help="Output rendering.",
 )
+_t_max_option = click.option(
+    "--t-max",
+    type=int,
+    default=2,
+    show_default=True,
+    help="Depth of the resurgence certificate.",
+)
 _grid_options = (
     click.option("--m", "m", default=None, help="Row multiplicities, comma-separated."),
     click.option("--n", "n", default=None, help="Column multiplicities, comma-separated."),
@@ -282,13 +289,7 @@ def generators_command(m, n, grid_path, output_format) -> None:
 
 @main.command("invariants")
 @_with_grid_options
-@click.option(
-    "--t-max",
-    type=int,
-    default=2,
-    show_default=True,
-    help="Depth of the resurgence certificate.",
-)
+@_t_max_option
 @_format_option
 def invariants_command(m, n, grid_path, t_max, output_format) -> None:
     """Print all closed-form invariants of the grid; no oracle runs."""
@@ -309,13 +310,7 @@ def _run_verify_jobs(jobs, worker_count: int) -> list:
 
 @main.command("verify")
 @_with_grid_options
-@click.option(
-    "--t-max",
-    type=int,
-    default=2,
-    show_default=True,
-    help="Depth of the resurgence certificate.",
-)
+@_t_max_option
 @click.option(
     "--jobs",
     type=int,

@@ -268,11 +268,19 @@ def symbolic_multiplicities(
 
 
 def symbolic_grid(g: FatGrid, t: int) -> FatGrid:
-    """Grid of the t-th symbolic power, on the points of g."""
+    """Grid of the t-th symbolic power: g with every multiplicity m_ij
+    scaled to t*m_ij.
+
+    Nothing is rebuilt: the points, lines and ``swapped`` flag are g's own,
+    and the increasing maps of ``symbolic_multiplicities`` keep both
+    weighted sets in their sorted order.
+    """
     new_m, new_n = symbolic_multiplicities(g, t)
-    return build_grid(
-        WeightedPointSet.make(g.row_set.points, new_m),
-        WeightedPointSet.make(g.col_set.points, new_n),
+    return replace(
+        g,
+        row_set=replace(g.row_set, multiplicities=tuple(new_m)),
+        col_set=replace(g.col_set, multiplicities=tuple(new_n)),
+        mult=tuple(tuple(t * m for m in row) for row in g.mult),
     )
 
 

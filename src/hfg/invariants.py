@@ -170,13 +170,11 @@ def _exponent_row(a, b, k) -> tuple[int, ...]:
 def _patterns(M, N) -> list[GeneratorPattern]:
     """The m_r + n_s patterns of sorted multiplicity vectors M and N."""
     a, b = _bounds(M, N)
+    r = len(a)
     return [
-        GeneratorPattern(
-            k,
-            tuple(max(x - k, 0) for x in a),
-            tuple(max(y + k, 0) for y in b),
-        )
+        GeneratorPattern(k, row[:r], row[r:])
         for k in range(M[-1] + N[-1])
+        for row in [_exponent_row(a, b, k)]
     ]
 
 

@@ -96,11 +96,9 @@ def exact_rank(matrix, budget: Budget = DEFAULT_BUDGET) -> int:
 
 
 def _check_rank_matrix(g: FatGrid, top: int, budget: Budget) -> None:
-    """The rank oracle's matrix cap at every degree d = 0..top: one row per
-    condition of the scheme, C(d+2, 2) columns."""
-    rows = g.scheme_degree()
-    for d in range(top + 1):
-        budget.check_matrix(rows, math.comb(d + 2, 2))
+    """The rank oracle's matrix cap on the one matrix it builds: a row per
+    condition of the scheme, C(top+2, 2) columns."""
+    budget.check_matrix(g.scheme_degree(), math.comb(top + 2, 2))
 
 
 def hilbert_series_oracle(
@@ -455,16 +453,17 @@ def grid_elimination_unit(
     g: FatGrid, t_max: int, budget: Budget
 ) -> list[CheckInstance]:
     """The pattern ideal against the intersection oracle, then for each
-    t = 1..t_max the t-th power of that oracle against the oracle of the
-    t-th symbolic grid.  The base oracle is built once; an equality over a
-    cap is recorded as skipped.
+    t = 2..t_max the t-th power of that oracle against the oracle of the
+    t-th symbolic grid; t = 1 would compare the oracle with itself.  The
+    base oracle is built once; an equality over a cap is recorded as
+    skipped.
 
-    Every ideal is built on the grids turned by ``rotate_coordinates``, so
+    Every ideal is built on the grid turned by ``rotate_coordinates``, so
     x0 is the engine's last variable.  A permutation of coordinates keeps
     ideal equality, and a grid's lines, led by x1 and x2, are then in
     general position for grevlex: on the abstract grids the oracle's reduced
-    basis has one element per generator pattern.  Each symbolic grid is
-    built on g's points first and turned afterwards."""
+    basis has one element per generator pattern.  Each symbolic grid scales
+    the turned grid's multiplicities, so coordinates are turned once."""
     rotated = rotate_coordinates(g)
     oracle = grid_ideal_intersection(rotated, budget)
     instances = [
@@ -473,7 +472,7 @@ def grid_elimination_unit(
             ideal_equal(pattern_ideal(rotated), oracle),
         )
     ]
-    for t in range(1, t_max + 1):
+    for t in range(2, t_max + 1):
         label = "t=%d: ordinary power equals symbolic power (elimination oracle)" % t
         try:
             # the t-th symbolic grid's total multiplicity
@@ -481,14 +480,7 @@ def grid_elimination_unit(
             # the top degree of the t-th power, known before building it
             budget.check_groebner(t * oracle.max_generator_degree())
             power = ideal_power(oracle, t)
-            # the first symbolic grid is g itself
-            sym_oracle = (
-                oracle
-                if t == 1
-                else grid_ideal_intersection(
-                    rotate_coordinates(symbolic_grid(g, t)), budget
-                )
-            )
+            sym_oracle = grid_ideal_intersection(symbolic_grid(rotated, t), budget)
             instances.append(verdict(label, ideal_equal(power, sym_oracle)))
         except BudgetExceededError as exc:
             instances.append(skipped(label, "equal", exc))
@@ -548,19 +540,17 @@ def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
 
 
 def grid_report(g: FatGrid, t_max: int, results) -> VerificationReport:
-    """Assemble the plan's unit results in one fixed order: structure,
-    pattern ideal, Hilbert function by degree, for each t the three
-    combinatorial resurgence instances followed by the elimination oracle's,
-    and the initial degree."""
+    """Concatenate the plan's unit results whole, one route after another:
+    structure, elimination, rank, then the closed-form resurgence
+    certificate."""
     hilbert, elimination, structure = results
-    certificate = resurgence_certificate(g, t_max).instances
-    resurgence = []
-    for t, oracle in enumerate(elimination[1:]):
-        resurgence += certificate[3 * t : 3 * t + 3] + [oracle]
     return VerificationReport(
         "grid verification, M=%s, N=%s"
         % (list(g.row_multiplicities), list(g.col_multiplicities)),
-        structure + elimination[:1] + hilbert[:-1] + resurgence + hilbert[-1:],
+        structure
+        + elimination
+        + hilbert
+        + resurgence_certificate(g, t_max).instances,
     )
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hfg.fatgrid
 from hfg.budget import Budget
 from hfg.errors import BudgetExceededError, DomainError, GridError, ParseError
 from hfg.fatgrid import (
@@ -383,6 +384,18 @@ def test_degenerate_alignment_rejected():
     cols = WeightedPointSet.make([Point((1, 1, 4)), Point((1, 1, 5))], [1, 1])
     with pytest.raises(GridError):
         build_grid(rows, cols)
+
+
+def test_symbolic_grid_builds_and_validates_nothing(example_grid, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symbolic grid rebuilt")
+
+    monkeypatch.setattr(hfg.fatgrid, "build_grid", forbidden)
+    monkeypatch.setattr(WeightedPointSet, "make", forbidden)
+    g2 = symbolic_grid(example_grid, 2)
+    assert g2.grid_points is example_grid.grid_points
+    assert g2.h_lines is example_grid.h_lines
+    assert g2.v_lines is example_grid.v_lines
 
 
 def test_symbolic_grid_scales_multiplicities(example_grid):

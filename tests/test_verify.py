@@ -23,6 +23,7 @@ from hfg.fatgrid import (
     grid_ideal_intersection,
     rotate_coordinates,
     symbolic_grid,
+    symbolic_multiplicities,
 )
 from hfg.invariants import generator_patterns, resolution
 from hfg.polycore import (
@@ -382,11 +383,11 @@ def test_matrix_budget_is_checked_before_any_row_is_built(monkeypatch):
     # the patch is live: within the budget the rows are built
     with pytest.raises(AssertionError, match="condition rows built"):
         hilbert_series_oracle(g, 4, wide)
-    # degree 5 is the first with more than 20 columns: C(7, 2) = 21
-    with pytest.raises(BudgetExceededError, match=r"^matrix of shape 13x21 "):
+    # the matrix built for degree 6 has C(8, 2) = 28 columns
+    with pytest.raises(BudgetExceededError, match=r"^matrix of shape 13x28 "):
         hilbert_series_oracle(g, 6, wide)
     tall = dataclasses.replace(DEFAULT_BUDGET, max_matrix_dim=10)
-    with pytest.raises(BudgetExceededError, match=r"^matrix of shape 13x1 "):
+    with pytest.raises(BudgetExceededError, match=r"^matrix of shape 13x28 "):
         hilbert_series_oracle(g, 6, tall)
 
 
@@ -416,16 +417,15 @@ def test_resurgence_skip_builds_no_ideal_power(monkeypatch):
     # the base oracle of (1,2|1,2) has top degree 5, so t=2 needs degree 10
     budget = dataclasses.replace(DEFAULT_BUDGET, max_groebner_degree=8)
     instances = grid_elimination_unit(abstract_grid((1, 2), (1, 2)), 2, budget)
-    # the pattern-ideal instance first, then one per t
+    # the pattern-ideal instance first, then one per t >= 2
     oracle = instances[1:]
     assert [(inst.computed, inst.flag) for inst in oracle] == [
-        ("equal", None),
         (
             "not computed",
             "skipped: Groebner input of total degree 10 exceeds budget 8",
         ),
     ]
-    assert powers == [1]
+    assert powers == []
 
 
 def _elimination_unit_in_original_coordinates(g, t_max, budget):
@@ -438,12 +438,12 @@ def _elimination_unit_in_original_coordinates(g, t_max, budget):
             ideal_equal(pattern_ideal(g), oracle),
         )
     ]
-    for t in range(1, t_max + 1):
+    for t in range(2, t_max + 1):
         label = "t=%d: ordinary power equals symbolic power (elimination oracle)" % t
         try:
             budget.check_grid(t * g.total_multiplicity)
             budget.check_groebner(t * oracle.max_generator_degree())
-            sym = oracle if t == 1 else grid_ideal_intersection(symbolic_grid(g, t), budget)
+            sym = grid_ideal_intersection(symbolic_grid(g, t), budget)
             instances.append(verdict(label, ideal_equal(ideal_power(oracle, t), sym)))
         except BudgetExceededError as exc:
             instances.append(skipped(label, "equal", exc))
@@ -478,16 +478,16 @@ def _seeded_explicit_grid(seed):
             continue
 
 
-@pytest.mark.parametrize(
-    "grid",
-    [abstract_grid(m, n) for m, n in small_grid_profiles()]
-    + [_seeded_explicit_grid(seed) for seed in (1, 2, 3)],
-    ids=[
-        "%s|%s" % (",".join(map(str, m)), ",".join(map(str, n)))
-        for m, n in small_grid_profiles()
-    ]
-    + ["explicit-seed-%d" % seed for seed in (1, 2, 3)],
-)
+SMALL_AND_SEEDED_GRIDS = [abstract_grid(m, n) for m, n in small_grid_profiles()] + [
+    _seeded_explicit_grid(seed) for seed in (1, 2, 3)
+]
+SMALL_AND_SEEDED_IDS = [
+    "%s|%s" % (",".join(map(str, m)), ",".join(map(str, n)))
+    for m, n in small_grid_profiles()
+] + ["explicit-seed-%d" % seed for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("grid", SMALL_AND_SEEDED_GRIDS, ids=SMALL_AND_SEEDED_IDS)
 def test_rotated_elimination_unit_matches_the_original_coordinates(grid):
     """Turning the coordinates changes no verdict; it can only let an
     equality run that the degree cap skipped before."""
@@ -499,6 +499,69 @@ def test_rotated_elimination_unit_matches_the_original_coordinates(grid):
             old.computed == "not computed" and new.computed == "equal" and new.passed
         )
     assert all(inst.passed is not False for inst in got)
+
+
+def test_grid_report_concatenates_the_units_by_route():
+    """Structure, then elimination from t = 2, then the rank oracle by
+    degree and the initial degree, then the closed-form certificate."""
+    report = check_grid_end_to_end(
+        abstract_grid((1, 2), (1, 1)), DEFAULT_BUDGET, t_max=2
+    )
+    certificate = [
+        "t=%d: symbolic pattern family scales the base exponent bounds by t",
+        "t=%d: every symbolic pattern is the balanced t-fold product of"
+        " base patterns",
+        "t=%d: every t-fold product of base patterns is divisible by a"
+        " symbolic generator",
+    ]
+    assert [inst.label for inst in report.instances] == [
+        "pattern count equals m_r + n_s",
+        "every expanded pattern vanishes to full multiplicity at every grid point",
+        "pattern ideal equals the intersection oracle",
+        "t=2: ordinary power equals symbolic power (elimination oracle)",
+    ] + [
+        "resolution Hilbert function matches the rank oracle at degree %d" % d
+        for d in range(6)
+    ] + [
+        "initial degree matches the first nonzero oracle dimension",
+    ] + [label % t for t in (1, 2) for label in certificate]
+    assert report.passed
+
+
+def test_no_report_compares_the_t1_oracle_with_itself(small_family):
+    for g in small_family:
+        labels = [
+            inst.label
+            for inst in check_grid_end_to_end(g, DEFAULT_BUDGET, t_max=2).instances
+        ]
+        assert not any(
+            label.startswith("t=1:") and "(elimination oracle)" in label
+            for label in labels
+        ), (g.row_multiplicities, g.col_multiplicities)
+        assert (
+            "t=2: ordinary power equals symbolic power (elimination oracle)"
+            in labels
+        )
+
+
+def _rebuilt_symbolic_grid(g, t):
+    """The t-th symbolic grid built and validated anew from g's points."""
+    new_m, new_n = symbolic_multiplicities(g, t)
+    return build_grid(
+        WeightedPointSet.make(g.row_set.points, new_m),
+        WeightedPointSet.make(g.col_set.points, new_n),
+    )
+
+
+@pytest.mark.parametrize("grid", SMALL_AND_SEEDED_GRIDS, ids=SMALL_AND_SEEDED_IDS)
+def test_symbolic_grid_equals_the_rebuilt_grid(grid):
+    for t in (1, 2, 3):
+        scaled = symbolic_grid(grid, t)
+        assert scaled == _rebuilt_symbolic_grid(grid, t)
+        assert scaled.swapped == grid.swapped
+        assert symbolic_grid(rotate_coordinates(grid), t) == rotate_coordinates(
+            scaled
+        )
 
 
 def test_pattern_ideal_instance_fails_without_one_pattern(monkeypatch):

@@ -174,13 +174,6 @@ _format_option = click.option(
     show_default=True,
     help="Output rendering.",
 )
-_t_max_option = click.option(
-    "--t-max",
-    type=int,
-    default=2,
-    show_default=True,
-    help="Depth of the resurgence certificate.",
-)
 _grid_options = (
     click.option("--m", "m", default=None, help="Row multiplicities, comma-separated."),
     click.option("--n", "n", default=None, help="Column multiplicities, comma-separated."),
@@ -289,12 +282,10 @@ def generators_command(m, n, grid_path, output_format) -> None:
 
 @main.command("invariants")
 @_with_grid_options
-@_t_max_option
 @_format_option
-def invariants_command(m, n, grid_path, t_max, output_format) -> None:
+def invariants_command(m, n, grid_path, output_format) -> None:
     """Print all closed-form invariants of the grid; no oracle runs."""
-    g = _load_grid(m, n, grid_path)
-    _emit(invariants_report(g, t_max=t_max), output_format)
+    _emit(invariants_report(_load_grid(m, n, grid_path)), output_format)
 
 
 def _run_verify_jobs(jobs, worker_count: int) -> list:
@@ -310,7 +301,13 @@ def _run_verify_jobs(jobs, worker_count: int) -> list:
 
 @main.command("verify")
 @_with_grid_options
-@_t_max_option
+@click.option(
+    "--t-max",
+    type=int,
+    default=2,
+    show_default=True,
+    help="Depth of the resurgence certificate.",
+)
 @click.option(
     "--jobs",
     type=int,

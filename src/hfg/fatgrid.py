@@ -140,42 +140,26 @@ def build_grid(row_set: WeightedPointSet, col_set: WeightedPointSet) -> FatGrid:
 
     The larger set always plays the column role; when the inputs arrive the
     other way around they are exchanged and the ``swapped`` flag records it.
-    A singleton set does not determine its support line, so both template
-    transports are tried and the first non-degenerate assembly wins.
+    The points and multiplicities depend on the two sets alone and are built
+    once.  A singleton set does not determine its support line, so both
+    template transports are tried, and the first pair whose horizontal and
+    vertical lines share no line wins.
     """
     swapped = False
     if row_set.size > col_set.size:
         row_set, col_set = col_set, row_set
         swapped = True
 
-    last_error: GridError | None = None
-    for row_line in _support_candidates(row_set):
-        for col_line in _support_candidates(col_set):
-            try:
-                return _assemble(row_set, col_set, row_line, col_line, swapped)
-            except GridError as exc:
-                last_error = exc
-    assert last_error is not None
-    raise last_error
-
-
-def _assemble(
-    row_set: WeightedPointSet,
-    col_set: WeightedPointSet,
-    row_line: Line,
-    col_line: Line,
-    swapped: bool,
-) -> FatGrid:
     # Not checked, as they hold by construction: ``make`` rejects zero
     # coordinates (so P * Q is defined) and non-collinear sets, and a
     # singleton's candidate lines pass through it.  A grid point lies on its
     # own lines: for the column line c . x = 0 the h-line of P is
     # (c/P) . x = 0, and (c/P) . (P * Q) = c . Q = 0; likewise for v-lines.
-    # Nor on any other line, once the two checks below pass: were point
-    # (i,j) on the h-line of row k != i, that line would hold the distinct
-    # points (i,j) and (k,j), as column j's v-line does, so the two lines
-    # would be one shared line; the column case is the mirror image.
-    r, s = row_set.size, col_set.size
+    # Nor on any other line, once the duplicate-point and shared-line checks
+    # pass: were point (i,j) on the h-line of row k != i, that line would
+    # hold the distinct points (i,j) and (k,j), as column j's v-line does,
+    # so the two lines would be one shared line; the column case is the
+    # mirror image.
     seen: dict[Point, tuple[int, int]] = {}
     rows: list[tuple[Point, ...]] = []
     for i, p in enumerate(row_set.points):
@@ -190,39 +174,39 @@ def _assemble(
             seen[g] = (i, j)
             row.append(g)
         rows.append(tuple(row))
-    grid_points = tuple(rows)
 
     mult = tuple(
         tuple(mi + nj - 1 for nj in col_set.multiplicities)
         for mi in row_set.multiplicities
     )
 
-    h_lines = tuple(
-        hadamard_line_point(col_line, row_set.points[r - 1 - i])
-        for i in range(r)
-    )
-    v_lines = tuple(
-        hadamard_line_point(row_line, col_set.points[s - 1 - j])
-        for j in range(s)
-    )
-
-    for hline in h_lines:
-        if hline in v_lines:
-            raise GridError(
-                "grid is degenerate: %s is both a horizontal and a vertical line"
-                % hline
+    for row_line in _support_candidates(row_set):
+        for col_line in _support_candidates(col_set):
+            h_lines = tuple(
+                hadamard_line_point(col_line, p)
+                for p in reversed(row_set.points)
             )
-
-    return FatGrid(
-        row_set=row_set,
-        col_set=col_set,
-        row_line=row_line,
-        col_line=col_line,
-        grid_points=grid_points,
-        mult=mult,
-        h_lines=h_lines,
-        v_lines=v_lines,
-        swapped=swapped,
+            v_lines = tuple(
+                hadamard_line_point(row_line, q)
+                for q in reversed(col_set.points)
+            )
+            shared = next((line for line in h_lines if line in v_lines), None)
+            if shared is None:
+                return FatGrid(
+                    row_set=row_set,
+                    col_set=col_set,
+                    row_line=row_line,
+                    col_line=col_line,
+                    grid_points=tuple(rows),
+                    mult=mult,
+                    h_lines=h_lines,
+                    v_lines=v_lines,
+                    swapped=swapped,
+                )
+    # every candidate pair shares a line; report the last one's
+    raise GridError(
+        "grid is degenerate: %s is both a horizontal and a vertical line"
+        % shared
     )
 
 
@@ -398,15 +382,6 @@ def expand_pattern(g: FatGrid, pattern: GeneratorPattern) -> Polynomial:
         if e:
             f = f * vline.form() ** e
     return f
-
-
-def grid_to_json(g: FatGrid) -> dict:
-    return {
-        "P": [p.to_json() for p in g.row_set.points],
-        "M": list(g.row_set.multiplicities),
-        "Q": [q.to_json() for q in g.col_set.points],
-        "N": list(g.col_set.multiplicities),
-    }
 
 
 def grid_from_json(data) -> FatGrid:

@@ -5,7 +5,6 @@ from .ideals import (
     IdealPresentation,
     eliminate,
     hadamard_ideals,
-    hadamard_transform,
     ideal_equal,
     ideal_from_json,
     ideal_intersection,
@@ -34,7 +33,6 @@ __all__ = [
     "format_rational",
     "groebner_basis",
     "hadamard_ideals",
-    "hadamard_transform",
     "ideal_equal",
     "ideal_from_json",
     "ideal_intersection",

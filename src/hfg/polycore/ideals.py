@@ -18,7 +18,6 @@ independent of the closed formulas they are later checked against.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import BlockMismatchError, DomainError, ParseError
@@ -273,19 +272,6 @@ def hadamard_ideals(a: IdealPresentation, b: IdealPresentation) -> IdealPresenta
 def join_ideals(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
     """Join: vanishing of coordinatewise sums of the two loci."""
     return _product_construction(a, b, hadamard=False)
-
-
-def hadamard_transform(f: Polynomial, point: Sequence) -> Polynomial:
-    """Coefficientwise transform a_I -> a_I / P^I for a point off the
-    coordinate lines (all coordinates nonzero); f must be homogeneous."""
-    coords = [Fraction(c) for c in point]
-    if len(coords) != f.block.arity:
-        raise DomainError("point arity does not match the block")
-    if any(c == 0 for c in coords):
-        raise DomainError("Hadamard transform needs all point coordinates nonzero")
-    if not f.is_homogeneous():
-        raise DomainError("Hadamard transform is defined for homogeneous forms")
-    return f.scale_variables([1 / c for c in coords])
 
 
 def irrelevant_power(t: int) -> IdealPresentation:

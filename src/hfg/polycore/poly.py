@@ -50,10 +50,6 @@ class VariableBlock:
         except ValueError:
             raise ParseError(f"unknown variable {name!r}") from None
 
-    def extended(self, extra: Sequence[str]) -> "VariableBlock":
-        """New block with this block as the leading segment."""
-        return VariableBlock(self.names + tuple(extra))
-
 
 PLANE = VariableBlock(("x0", "x1", "x2"))
 
@@ -218,22 +214,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    # -- substitution ------------------------------------------------------
-
-    def scale_variables(self, factors: Sequence[Scalar]) -> "Polynomial":
-        """Substitute x_i -> factors[i] * x_i."""
-        if len(factors) != self.block.arity:
-            raise ValueError("factor count must match block arity")
-        fs = [Fraction(f) for f in factors]
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for f, e in zip(fs, exps):
-                if e:
-                    v *= f**e
-            terms[exps] = v
-        return Polynomial(self.block, terms)
 
     # -- text and JSON -----------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Coordinates are stored normalized: the first nonzero coordinate is 1, so
 structural equality is projective equality.  Points behave as coordinate
-sequences, which lets them feed directly into the Hadamard transform.
+sequences.
 
 The Hadamard product of two points is the coordinatewise product; it is
 undefined (returns None) exactly when every coordinate product vanishes.

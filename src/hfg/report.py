@@ -5,7 +5,9 @@ do not affect the verdict (for example a check that ran outside the scope of
 the statement it probes, or a sub-check skipped for budget reasons).
 
 `verdict` and `skipped` are the one encoding of a yes/no check and of a
-check that did not run; every such instance in `hfg` is built by them.
+check that did not run; every such instance in `hfg` is built by them.  An
+instance's status is "pass", "fail" or "skipped": a skipped check has
+``passed`` None, so it is neither a pass nor a fail.
 """
 
 from __future__ import annotations
@@ -18,14 +20,21 @@ class CheckInstance:
     label: str
     expected: str
     computed: str
-    passed: bool
+    passed: bool | None
     flag: str | None = None
+
+    @property
+    def status(self) -> str:
+        if self.passed is None:
+            return "skipped"
+        return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
         return {
             "label": self.label,
             "expected": self.expected,
             "computed": self.computed,
+            "status": self.status,
             "passed": self.passed,
             "flag": self.flag,
         }
@@ -43,9 +52,9 @@ def verdict(
 
 
 def skipped(label: str, expected: str, reason) -> CheckInstance:
-    """A check that did not run; it does not fail the report."""
+    """A check that did not run: neither a pass nor a fail."""
     return CheckInstance(
-        label, expected, "not computed", True, "skipped: %s" % reason
+        label, expected, "not computed", None, "skipped: %s" % reason
     )
 
 
@@ -56,15 +65,18 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(inst.passed for inst in self.instances)
+        """No instance failed."""
+        return not self.failures()
 
     def failures(self) -> list[CheckInstance]:
-        return [inst for inst in self.instances if not inst.passed]
+        return [inst for inst in self.instances if inst.passed is False]
 
     def to_dict(self) -> dict:
+        statuses = [inst.status for inst in self.instances]
         return {
             "subject": self.subject,
             "passed": self.passed,
             "checks": len(self.instances),
+            **{s: statuses.count(s) for s in ("pass", "fail", "skipped")},
             "instances": [inst.to_dict() for inst in self.instances],
         }

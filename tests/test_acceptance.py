@@ -39,7 +39,7 @@ from hfg.polycore import (
     join_ideals,
 )
 from hfg.projective import Point, hadamard_point, point_ideal
-from hfg.verify import check_grid_end_to_end, hilbert_function_oracle, pattern_ideal
+from hfg.verify import check_grid_end_to_end, hilbert_series_oracle, pattern_ideal
 
 from conftest import small_grid_profiles
 
@@ -198,19 +198,24 @@ def test_criterion_6_resolution_matches_rank_oracle(small_family, example_grid, 
     start = time.monotonic()
     for g in small_family:
         shifts = resolution(g)
-        for d in range(max(shifts.syzygy_twists) + 1):
-            assert hilbert_from_resolution(shifts, d) == hilbert_function_oracle(g, d), (
+        top = max(shifts.syzygy_twists)
+        series = hilbert_series_oracle(g, top)
+        for d in range(top + 1):
+            assert hilbert_from_resolution(shifts, d) == series[d], (
                 g.row_multiplicities,
                 g.col_multiplicities,
                 d,
             )
 
-    assert hilbert_function_oracle(example_grid, 15, example_budget) == 0
-    assert hilbert_function_oracle(example_grid, 16, example_budget) == 2
     shifts = resolution(example_grid)
+    series = hilbert_series_oracle(
+        example_grid, max(shifts.syzygy_twists), example_budget
+    )
+    assert series[15] == 0
+    assert series[16] == 2
     for d in range(max(shifts.syzygy_twists) + 1):
         predicted = hilbert_from_resolution(shifts, d)
-        assert predicted == hilbert_function_oracle(example_grid, d, example_budget), d
+        assert predicted == series[d], d
 
     elapsed_under(start, 600.0)
 
@@ -233,10 +238,8 @@ def test_criterion_7_waldschmidt_and_symbolic_scaling():
     base = alpha_degree(g)
     assert base == 2
     for t in (1, 2, 3):
-        gt = symbolic_grid(g, t)
-        first_positive = next(
-            d for d in range(20) if hilbert_function_oracle(gt, d) > 0
-        )
+        series = hilbert_series_oracle(symbolic_grid(g, t), 19)
+        first_positive = next(d for d in range(20) if series[d] > 0)
         assert first_positive == t * base, t
 
     elapsed_under(start, 120.0)

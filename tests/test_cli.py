@@ -251,6 +251,41 @@ def test_invariants_has_no_budget_flag(runner):
     assert "--budget-degree" in result.output
 
 
+def test_invariants_has_no_t_max_flag(runner):
+    """The certificate runs to t = 2 in ``hfg invariants``; ``hfg verify
+    --t-max`` is where its depth is set."""
+    args = ["invariants", "--m", "1,2", "--n", "1"]
+    result = runner.invoke(cli.main, args + ["--t-max", "2"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert "--t-max" in result.output
+    table = invoke(runner, *args, "--format", "table")
+    assert table.exit_code == 0
+    assert table.output == (
+        "alpha_tuple       3 1\n"
+        "C                 0 3 1 1 2 0\n"
+        "V                 1 3 2 1\n"
+        "generator_twists  2 2 3\n"
+        "syzygy_twists     3 4\n"
+        "alpha             2\n"
+        "beta              3\n"
+        "waldschmidt       2/1\n"
+        "resurgence        1\n"
+    )
+    expected = {
+        "alpha_tuple": [3, 1],
+        "C": [[0, 3], [1, 1], [2, 0]],
+        "V": [[1, 3], [2, 1]],
+        "generator_twists": [2, 2, 3],
+        "syzygy_twists": [3, 4],
+        "alpha": 2,
+        "beta": 3,
+        "waldschmidt": "2/1",
+        "resurgence": 1,
+    }
+    assert invoke(runner, *args).output == json.dumps(expected, indent=2) + "\n"
+
+
 def test_hadamard_and_join_commands(runner, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -450,9 +485,12 @@ def test_verify_table_has_one_row_per_json_instance(runner):
         "subject: %s" % data["subject"],
         "passed: yes",
         "checks: %d" % data["checks"],
+        "pass: %d" % data["checks"],
+        "fail: 0",
+        "skipped: 0",
     ]
     header, *cells = _table_rows(rows)
-    assert header == ["label", "expected", "computed", "passed", "flag"]
+    assert header == ["label", "expected", "computed", "status", "passed", "flag"]
     assert [row[:3] for row in cells] == [
         [inst["label"], inst["expected"], inst["computed"]]
         for inst in data["instances"]

@@ -22,7 +22,6 @@ from hfg.fatgrid import (
     expand_pattern,
     grid_from_json,
     grid_ideal_intersection,
-    grid_to_json,
     rotate_coordinates,
     symbolic_grid,
 )
@@ -163,7 +162,7 @@ def test_integer_incidence_agrees_with_the_rational_test(through, other, pick):
 
 
 def _rational_degeneracy_error(rows, cols, row_line, col_line):
-    """The degeneracy checks of ``_assemble`` written with ``Line.contains``
+    """The degeneracy checks of ``build_grid`` written with ``Line.contains``
     (a Fraction dot product): the text of the first ``GridError``, or None."""
     r, s = rows.size, cols.size
     seen = {}
@@ -377,6 +376,23 @@ def test_duplicate_grid_point_rejected():
         build_grid(rows, cols)
 
 
+@pytest.mark.parametrize("M, N", [((1,), (1,)), ((1, 2), (3,))])
+def test_build_grid_makes_each_grid_point_once(monkeypatch, M, N):
+    """One Hadamard product per grid point, however many support-line
+    candidates a singleton set brings."""
+    calls = []
+    product = hfg.fatgrid.hadamard_point
+
+    def counted(p, q):
+        calls.append((p, q))
+        return product(p, q)
+
+    monkeypatch.setattr(hfg.fatgrid, "hadamard_point", counted)
+    g = abstract_grid(M, N)
+    r, s = g.shape
+    assert len(calls) == r * s
+
+
 def test_degenerate_alignment_rejected():
     # Both sets on the same line through the identity point make every
     # grid point collide with the lines of the other rows.
@@ -414,8 +430,12 @@ def test_symbolic_grid_scales_multiplicities(example_grid):
 
 
 def test_grid_json_round_trip(example_grid):
-    data = grid_to_json(example_grid)
-    assert set(data) == {"P", "M", "Q", "N"}
+    data = {
+        "P": [p.to_json() for p in example_grid.row_set.points],
+        "M": list(example_grid.row_multiplicities),
+        "Q": [q.to_json() for q in example_grid.col_set.points],
+        "N": list(example_grid.col_multiplicities),
+    }
     rebuilt = grid_from_json(json.dumps(data))
     assert rebuilt.mult == example_grid.mult
     assert rebuilt.grid_points == example_grid.grid_points

@@ -18,7 +18,6 @@ from hfg.polycore import (
     eliminate,
     groebner_basis,
     hadamard_ideals,
-    hadamard_transform,
     ideal_equal,
     ideal_from_json,
     ideal_intersection,
@@ -138,17 +137,6 @@ def test_hadamard_distributes_over_intersection():
     assert ideal_equal(left, right)
 
 
-def test_hadamard_transform_generates_point_product():
-    # Rescaling the generators of I coefficient-wise by 1/P^I generates
-    # I(P) * I when P has no zero coordinate.
-    p = Point((1, Fraction(2), Fraction(3)))
-    i = ideal_power(point_ideal(Point((1, 1, 2))), 2)
-    transformed = IdealPresentation(
-        i.block, [hadamard_transform(g, p) for g in i.generators]
-    )
-    assert ideal_equal(transformed, hadamard_ideals(point_ideal(p), i))
-
-
 def test_membership_via_normal_form(example_budget):
     members = ideal("x1^2", "x2^2")
     basis = members.groebner_basis()
@@ -158,7 +146,7 @@ def test_membership_via_normal_form(example_budget):
 
 def test_eliminate_caches_the_basis_it_computed(monkeypatch):
     # (x0, x1) meet (x1, x2) = (x1, x0*x2), by hand and by ideal_intersection
-    ext = PLANE.extended(["t"])
+    ext = VariableBlock(PLANE.names + ("t",))
     x0, x1, x2, t = variables(ext)
     one = Polynomial.constant(ext, 1)
     by_hand = eliminate([t * x0, t * x1, (one - t) * x1, (one - t) * x2], PLANE)
@@ -237,7 +225,7 @@ def _embed(f, ext, offset):
 
 
 def _reference_intersection(a, b):
-    ext = PLANE.extended(["t"])
+    ext = VariableBlock(PLANE.names + ("t",))
     t = Polynomial.variable(ext, 3)
     one = Polynomial.constant(ext, 1)
     gens = [t * _embed(f, ext, 0) for f in a.generators]
@@ -246,7 +234,7 @@ def _reference_intersection(a, b):
 
 
 def _reference_product(a, b, hadamard):
-    ext = PLANE.extended(["y0", "y1", "y2", "z0", "z1", "z2"])
+    ext = VariableBlock(PLANE.names + ("y0", "y1", "y2", "z0", "z1", "z2"))
     v = variables(ext)
     gens = [_embed(f, ext, 3) for f in a.generators]
     gens += [_embed(g, ext, 6) for g in b.generators]

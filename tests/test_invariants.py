@@ -264,7 +264,7 @@ def test_resurgence_certificate_above_the_grid_cap_builds_no_symbolic_grid(
     assert resurgence_certificate(g, 3).passed
     instances = grid_elimination_unit(g, 3, budget)
     oracle = [inst for inst in instances if "elimination oracle" in inst.label]
-    assert all(inst.passed for inst in oracle)
+    assert [inst.status for inst in oracle] == ["skipped", "skipped"]
     # t=2 and t=3 exceed the grid cap
     assert [inst.flag for inst in oracle] == [
         "skipped: grid total multiplicity %d exceeds budget 12;"

@@ -14,7 +14,6 @@ from hfg.polycore import (
     Polynomial,
     VariableBlock,
     format_rational,
-    hadamard_transform,
     irrelevant_power,
     monomials_of_degree,
     parse_rational,
@@ -142,30 +141,6 @@ def test_power_operator():
     assert p ** 1 == p
     assert p ** 2 == p * p
     assert (p ** 3).terms[(2, 1, 0)] == Fraction(-3)
-
-
-def test_hadamard_transform_rescales_coefficients():
-    f = X0 + X1 + X2
-    g = hadamard_transform(f, (Fraction(1), Fraction(2), Fraction(4)))
-    assert g == X0 + Fraction(1, 2) * X1 + Fraction(1, 4) * X2
-
-
-def test_hadamard_transform_identity_point():
-    f = X0 * X0 - 3 * X1 * X2
-    assert hadamard_transform(f, (Fraction(1), Fraction(1), Fraction(1))) == f
-
-
-def test_hadamard_transform_round_trip():
-    f = 2 * X0 * X0 - X1 * X2 + Fraction(1, 3) * X2 * X2
-    coords = (Fraction(1), Fraction(-2), Fraction(3, 5))
-    g = hadamard_transform(f, coords)
-    assert g.scale_variables(coords) == f
-    assert set(g.terms) == set(f.terms)
-
-
-def test_hadamard_transform_rejects_zero_coordinate():
-    with pytest.raises(DomainError):
-        hadamard_transform(X0 + X1, (Fraction(1), Fraction(0), Fraction(1)))
 
 
 def test_irrelevant_power_monomial_counts():

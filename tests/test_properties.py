@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,24 +11,14 @@ from hfg.invariants import (
     corner_sets,
     generator_patterns,
     is_totally_ordered,
+    resolution,
     s_tuples,
 )
-from hfg.polycore import PLANE, Polynomial, hadamard_transform, monomials_of_degree
+from hfg.polycore import PLANE, Polynomial, monomials_of_degree
 from hfg.projective import Point
 from hfg.verify import vanishing_order
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
-
-nonzero_fractions = st.fractions(
-    min_value=-3, max_value=3, max_denominator=4
-).filter(lambda x: x != 0)
-
-off_delta1_points = st.builds(
-    lambda a, b, c: Point((a, b, c)),
-    nonzero_fractions,
-    nonzero_fractions,
-    nonzero_fractions,
-)
 
 any_points = st.tuples(
     st.fractions(min_value=-2, max_value=2, max_denominator=3),
@@ -63,12 +50,16 @@ def homogeneous_polynomials(draw, max_degree=3):
 
 
 @SUITE
-@given(homogeneous_polynomials(), off_delta1_points)
-def test_hadamard_transform_round_trip(f, p):
-    g = hadamard_transform(f, p.coords)
-    assert set(g.terms) == set(f.terms)
-    assert g.scale_variables(p.coords) == f
-    assert hadamard_transform(g, tuple(1 / c for c in p.coords)) == f
+@given(grids)
+def test_resolution_twists_give_the_scheme_degree(g):
+    """The Hilbert-series numerator 1 - sum t^c + sum t^v of a
+    zero-dimensional scheme, c the generator and v the syzygy twists, is
+    (1 - t)^2 times a polynomial whose value at 1 is the degree: its first
+    derivative at 1 vanishes and its second is twice the degree."""
+    shifts = resolution(g)
+    c, v = shifts.generator_twists, shifts.syzygy_twists
+    assert sum(v) == sum(c)
+    assert sum(x * x for x in v) - sum(x * x for x in c) == 2 * g.scheme_degree()
 
 
 @SUITE

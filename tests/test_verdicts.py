@@ -4,7 +4,8 @@ PINNED lists, for one case per branch of the power-product, lemma and join
 checks, each instance as (label, expected, flag, as computed, forced), where
 the last two are (computed, passed): once as computed, and once with the
 oracle predicates `ideal_equal`, `contains` and `contains_ideal` forced to
-False, so the words of a failing check are pinned as well.
+False, so the words of a failing check are pinned as well.  The status word
+follows from `passed`: "pass" for True, "fail" for False.
 """
 from __future__ import annotations
 
@@ -188,14 +189,34 @@ def test_verdict_encodes_a_yes_no_check():
     assert verdict("c", False, "member", "missing", flag="f") == CheckInstance(
         "c", "member", "missing", False, "f"
     )
+    assert verdict("c", True).status == "pass"
+    assert verdict("c", False).status == "fail"
 
 
 def test_skipped_check_is_flagged_and_does_not_fail_the_report():
     inst = skipped("c", "equal", "over the cap")
     assert inst == CheckInstance(
-        "c", "equal", "not computed", True, "skipped: over the cap"
+        "c", "equal", "not computed", None, "skipped: over the cap"
     )
+    assert inst.status == "skipped"
     assert VerificationReport("s", [inst]).passed
+
+
+def test_a_skip_is_neither_a_pass_nor_a_fail():
+    ran, failed = verdict("a", True), verdict("b", False)
+    skip = skipped("c", "equal", "over the cap")
+    report = VerificationReport("s", [ran, skip, failed])
+    assert not report.passed
+    assert report.failures() == [failed]
+    data = report.to_dict()
+    assert (data["passed"], data["checks"]) == (False, 3)
+    assert (data["pass"], data["fail"], data["skipped"]) == (1, 1, 1)
+    assert [(i["status"], i["passed"]) for i in data["instances"]] == [
+        ("pass", True),
+        ("skipped", None),
+        ("fail", False),
+    ]
+    assert VerificationReport("s", [ran, skip]).to_dict()["passed"] is True
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["computed", "forced"])
@@ -210,13 +231,15 @@ def test_verdict_words_are_pinned(monkeypatch, case, forced):
     check, args = CASES[case]
     report = check(*(Point(a) if isinstance(a, tuple) else a for a in args))
     got = [
-        (inst.label, inst.expected, inst.computed, inst.passed, inst.flag)
+        (inst.label, inst.expected, inst.computed, inst.passed, inst.status, inst.flag)
         for inst in report.instances
     ]
-    want = [
-        (label, expected, *(forced_words if forced else words), flag)
-        for label, expected, flag, words, forced_words in PINNED[case]
-    ]
+    want = []
+    for label, expected, flag, words, forced_words in PINNED[case]:
+        computed, passed = forced_words if forced else words
+        want.append(
+            (label, expected, computed, passed, "pass" if passed else "fail", flag)
+        )
     assert got == want
 
 

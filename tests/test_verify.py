@@ -29,6 +29,7 @@ from hfg.invariants import generator_patterns, resolution
 from hfg.polycore import (
     PLANE,
     Polynomial,
+    VariableBlock,
     ideal_equal,
     ideal_power,
     monomials_of_degree,
@@ -68,7 +69,7 @@ def test_vanishing_order_rejects_inhomogeneous_input():
 
 
 def test_vanishing_order_wants_a_plane_form():
-    space = PLANE.extended(["x3"])
+    space = VariableBlock(PLANE.names + ("x3",))
     f = Polynomial.monomial(space, (1, 0, 0, 0))
     with pytest.raises(DomainError):
         vanishing_order(f, (0, 1, 1, 1))

@@ -133,10 +133,11 @@ def _scalar(value) -> str:
 def _rows_table(rows: list[dict]) -> str:
     columns = list(rows[0].keys())
     cells = [[_scalar(row.get(col)) for col in columns] for row in rows]
+    # the last column is not padded, so no row ends in spaces
     widths = [
         max(len(col), *(len(row[i]) for row in cells))
-        for i, col in enumerate(columns)
-    ]
+        for i, col in enumerate(columns[:-1])
+    ] + [0]
     out = ["  ".join("%-*s" % (w, c) for w, c in zip(widths, columns))]
     for row in cells:
         out.append("  ".join("%-*s" % (w, c) for w, c in zip(widths, row)))
@@ -306,7 +307,11 @@ def _run_verify_jobs(jobs, worker_count: int) -> list:
     type=int,
     default=2,
     show_default=True,
-    help="Depth of the resurgence certificate.",
+    help=(
+        "Largest power t checked: the elimination oracle's ordinary ="
+        " symbolic power equalities and the closed-form resurgence"
+        " certificate both run t = 2..t-max; 1 runs neither."
+    ),
 )
 @click.option(
     "--jobs",

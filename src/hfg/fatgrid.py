@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .budget import Budget, DEFAULT_BUDGET
 from .errors import DomainError, GridError, ParseError
@@ -109,7 +110,6 @@ class FatGrid:
     row_line: Line
     col_line: Line
     grid_points: tuple[tuple[Point, ...], ...]
-    mult: tuple[tuple[int, ...], ...]
     h_lines: tuple[Line, ...]
     v_lines: tuple[Line, ...]
     swapped: bool = field(default=False, compare=False)
@@ -126,6 +126,16 @@ class FatGrid:
     def col_multiplicities(self) -> tuple[int, ...]:
         return self.col_set.multiplicities
 
+    @cached_property
+    def mult(self) -> tuple[tuple[int, ...], ...]:
+        """``m_i + n_j - 1``, from the two weighted sets alone.  A frozen
+        dataclass keeps a ``__dict__``, which holds the cache; ``replace``
+        builds a new instance, so a scaled grid never reads a stale one."""
+        return tuple(
+            tuple(mi + nj - 1 for nj in self.col_multiplicities)
+            for mi in self.row_multiplicities
+        )
+
     @property
     def total_multiplicity(self) -> int:
         return sum(sum(row) for row in self.mult)
@@ -140,10 +150,10 @@ def build_grid(row_set: WeightedPointSet, col_set: WeightedPointSet) -> FatGrid:
 
     The larger set always plays the column role; when the inputs arrive the
     other way around they are exchanged and the ``swapped`` flag records it.
-    The points and multiplicities depend on the two sets alone and are built
-    once.  A singleton set does not determine its support line, so both
-    template transports are tried, and the first pair whose horizontal and
-    vertical lines share no line wins.
+    The points depend on the two sets alone and are built once; ``mult`` is
+    read from the sets when first asked for.  A singleton set does not
+    determine its support line, so both template transports are tried, and
+    the first pair whose horizontal and vertical lines share no line wins.
     """
     swapped = False
     if row_set.size > col_set.size:
@@ -175,11 +185,6 @@ def build_grid(row_set: WeightedPointSet, col_set: WeightedPointSet) -> FatGrid:
             row.append(g)
         rows.append(tuple(row))
 
-    mult = tuple(
-        tuple(mi + nj - 1 for nj in col_set.multiplicities)
-        for mi in row_set.multiplicities
-    )
-
     for row_line in _support_candidates(row_set):
         for col_line in _support_candidates(col_set):
             h_lines = tuple(
@@ -198,7 +203,6 @@ def build_grid(row_set: WeightedPointSet, col_set: WeightedPointSet) -> FatGrid:
                     row_line=row_line,
                     col_line=col_line,
                     grid_points=tuple(rows),
-                    mult=mult,
                     h_lines=h_lines,
                     v_lines=v_lines,
                     swapped=swapped,
@@ -257,14 +261,14 @@ def symbolic_grid(g: FatGrid, t: int) -> FatGrid:
 
     Nothing is rebuilt: the points, lines and ``swapped`` flag are g's own,
     and the increasing maps of ``symbolic_multiplicities`` keep both
-    weighted sets in their sorted order.
+    weighted sets in their sorted order.  ``mult`` follows from the scaled
+    sets: (t*m_i - (t-1)) + t*n_j - 1 = t*(m_i + n_j - 1).
     """
     new_m, new_n = symbolic_multiplicities(g, t)
     return replace(
         g,
         row_set=replace(g.row_set, multiplicities=tuple(new_m)),
         col_set=replace(g.col_set, multiplicities=tuple(new_n)),
-        mult=tuple(tuple(t * m for m in row) for row in g.mult),
     )
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from operator import add, ge
 
 from .errors import DomainError, GridError
@@ -95,18 +94,6 @@ def tuples_from_multiplicities(matrix) -> list[tuple[int, ...]]:
 def s_tuples(g: FatGrid) -> list[tuple[int, ...]]:
     """All truncation tuples of the grid's multiplicity matrix."""
     return tuples_from_multiplicities(g.mult)
-
-
-def is_totally_ordered(tuples) -> bool:
-    """True when the distinct tuples form a chain under entrywise comparison."""
-    distinct = sorted(set(tuple(t) for t in tuples))
-    for a, b in combinations_with_replacement(distinct, 2):
-        if not (
-            all(x <= y for x, y in zip(a, b))
-            or all(x >= y for x, y in zip(a, b))
-        ):
-            return False
-    return True
 
 
 def alpha_tuple(g: FatGrid) -> AlphaTuple:
@@ -231,8 +218,9 @@ def certificate_depth(t_max) -> int:
 
 
 def resurgence_certificate(g: FatGrid, t_max: int) -> VerificationReport:
-    """Certify combinatorially that ordinary and symbolic powers agree up
-    to t_max.
+    """Certify combinatorially that ordinary and symbolic powers agree for
+    t = 2..t_max; the first symbolic power is the grid ideal itself, so
+    t_max = 1 has no instance.
 
     For each t the certificate checks that the generator patterns of the
     t-th symbolic grid scale the base exponent bounds by t, that each
@@ -249,9 +237,9 @@ def resurgence_certificate(g: FatGrid, t_max: int) -> VerificationReport:
     rows = [pat.h_exponents + pat.v_exponents for pat in base_patterns]
     zero = (0,) * (len(a) + len(b))
     # (combo, sum(combo), exponent row) of every (t-1)-fold product, in the
-    # order of combinations_with_replacement; t = 1 extends the empty product
-    products = [((), 0, zero)]
-    for t in range(1, t_max + 1):
+    # order of combinations_with_replacement; t = 2 extends the base rows
+    products = [((k,), k, row) for k, row in enumerate(rows)]
+    for t in range(2, t_max + 1):
         # the symbolic grid's patterns depend on its multiplicities alone
         mt, nt = symbolic_multiplicities(g, t)
         sym_patterns = _patterns(mt, nt)
@@ -275,12 +263,13 @@ def resurgence_certificate(g: FatGrid, t_max: int) -> VerificationReport:
         products = [
             (combo + (k,), kbar + k, tuple(map(add, total, rows[k])))
             for combo, kbar, total in products
-            for k in range(combo[-1] if combo else 0, len(rows))
+            for k in range(combo[-1], len(rows))
         ]
+        # a product whose index sum has no symbolic pattern is undominated
         undominated = [
             combo
             for combo, kbar, total in products
-            if not all(map(ge, total, targets[kbar]))
+            if kbar >= len(targets) or not all(map(ge, total, targets[kbar]))
         ]
         checks += [
             CheckInstance(

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -25,6 +25,19 @@ def small_grid_profiles():
         for b in (1, 2, 3):
             profiles.add(((a,), (b,)))
     return sorted(profiles)
+
+
+def is_totally_ordered(tuples) -> bool:
+    """True when the distinct tuples form a chain under entrywise
+    comparison: the total-order lemma on a grid's truncation tuples."""
+    distinct = sorted(set(tuple(t) for t in tuples))
+    for a, b in combinations_with_replacement(distinct, 2):
+        if not (
+            all(x <= y for x, y in zip(a, b))
+            or all(x >= y for x, y in zip(a, b))
+        ):
+            return False
+    return True
 
 
 @pytest.fixture(scope="session")

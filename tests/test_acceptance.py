@@ -250,7 +250,9 @@ def test_criterion_8_resurgence_certificate(example_grid):
 
     report = resurgence_certificate(example_grid, 3)
     assert report.passed
-    for t in (1, 2, 3):
+    # the first symbolic power is the grid ideal itself
+    assert not any(inst.label.startswith("t=1:") for inst in report.instances)
+    for t in (2, 3):
         matches = [
             inst
             for inst in report.instances

@@ -471,9 +471,11 @@ def test_verify_rejects_jobs_below_one_before_the_grid(runner, monkeypatch, jobs
 
 
 def _table_rows(text):
-    """The cells of an aligned table: columns are padded and joined by two
-    spaces, and no cell holds two spaces in a row."""
-    return [re.split(r" {2,}", line.rstrip()) for line in text.splitlines()]
+    """The cells of an aligned table: columns but the last are padded, they
+    are joined by two spaces, and no cell holds two spaces in a row."""
+    lines = text.splitlines()
+    assert [line for line in lines if line != line.rstrip()] == []
+    return [re.split(r" {2,}", line) for line in lines]
 
 
 def test_verify_table_has_one_row_per_json_instance(runner):
@@ -528,3 +530,26 @@ def test_grid_table_joins_coordinates_with_colons(runner):
     )
     assert table["v_lines"] == " ".join(":".join(c) for c in data["v_lines"])
     assert table["mult"] == "1 2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the skip flags make the last column wide, and most rows have "-"
+        ["verify", "--m", "1,2", "--n", "1,2", "--t-max", "3", "--budget-degree", "12"],
+        ["power-check", "--p", "1:2:3", "--q", "2:1:1", "-m", "2", "-n", "1"],
+    ],
+)
+def test_table_rows_end_without_spaces(runner, argv):
+    result = runner.invoke(cli.main, argv + ["--format", "table"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert len(lines) > 2
+    assert [line for line in lines if line.endswith(" ")] == []
+
+
+def test_verify_help_names_both_uses_of_t_max(runner):
+    text = " ".join(invoke(runner, "verify", "--help").output.split())
+    assert "elimination oracle's" in text
+    assert "resurgence certificate" in text
+    assert "t = 2..t-max; 1 runs neither" in text

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -427,6 +428,17 @@ def test_symbolic_grid_scales_multiplicities(example_grid):
     assert tiny.mult == ((3,),)
     with pytest.raises(DomainError):
         symbolic_grid(example_grid, 0)
+
+
+def test_mult_follows_the_weighted_sets(example_grid):
+    """``mult`` is no field: it is read from the two sets, and a grid made
+    by ``replace`` never carries the cache of the grid it came from."""
+    assert "mult" not in {f.name for f in dataclasses.fields(FatGrid)}
+    assert example_grid.mult == ((3, 4, 5, 5), (4, 5, 6, 6), (4, 5, 6, 6))
+    col_set = dataclasses.replace(example_grid.col_set, multiplicities=(1, 1, 1, 1))
+    g = dataclasses.replace(example_grid, col_set=col_set)
+    assert g.mult == ((2, 2, 2, 2), (3, 3, 3, 3), (3, 3, 3, 3))
+    assert pickle.loads(pickle.dumps(g)).mult == g.mult
 
 
 def test_grid_json_round_trip(example_grid):

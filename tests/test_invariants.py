@@ -32,7 +32,6 @@ from hfg.invariants import (
     generator_patterns,
     hilbert_from_resolution,
     invariants_report,
-    is_totally_ordered,
     resolution,
     resurgence_certificate,
     s_tuples,
@@ -41,6 +40,8 @@ from hfg.invariants import (
 )
 from hfg.polycore import ideal_equal
 from hfg.verify import grid_elimination_unit, pattern_ideal
+
+from conftest import is_totally_ordered
 
 EXAMPLE_ALPHA = (21, 21, 17, 17, 17, 13, 13, 13, 9, 9, 9, 5, 5, 5, 2, 2, 2)
 EXAMPLE_V = {(2, 21), (5, 17), (8, 13), (11, 9), (14, 5), (17, 2)}
@@ -193,10 +194,12 @@ def test_pattern_ideal_matches_oracle_on_small_grid():
 
 
 def test_resurgence_certificate_trivial_t1(example_grid):
+    # the first symbolic power is the grid ideal itself: nothing to certify
     report = resurgence_certificate(example_grid, 1)
     assert report.passed
-    labels = [inst.label for inst in report.instances]
-    assert any("balanced" in l for l in labels)
+    assert report.instances == []
+    labels = [inst.label for inst in resurgence_certificate(example_grid, 3).instances]
+    assert [label[:4] for label in labels] == ["t=2:"] * 3 + ["t=3:"] * 3
 
 
 def test_resurgence_certificate_example_t3(example_grid, example_budget):
@@ -318,6 +321,26 @@ def test_resurgence_certificate_reports_undominated_products(monkeypatch):
     ]
 
 
+def test_resurgence_certificate_reports_a_missing_symbolic_pattern(monkeypatch):
+    """N' = tN - (t-1) leaves the symbolic family too few patterns for the
+    largest t-fold index sums: those products fail, and nothing raises."""
+    multiplicities = hfg.invariants.symbolic_multiplicities
+
+    def short(g, t):
+        m, n = multiplicities(g, t)
+        return m, [x - (t - 1) for x in n]
+
+    monkeypatch.setattr(hfg.invariants, "symbolic_multiplicities", short)
+    report = resurgence_certificate(abstract_grid((1, 2), (1, 2, 3)), 2)
+    assert not report.passed
+    assert [inst.computed for inst in report.failures()] == [
+        "a'=[7, 5], b'=[0, -2, -4], 8 patterns",
+        "mismatch at k=[0, 1, 2, 3, 4, 5, 6, 7]",
+        # 4 + 4 is past the last symbolic pattern, k = 7
+        "failures at [(4, 4)]",
+    ]
+
+
 def test_failed_certificate_is_an_invalid_grid(monkeypatch):
     _unbalance_the_split(monkeypatch)
     with pytest.raises(GridError, match="resurgence certificate failed: t=2: "):
@@ -338,7 +361,7 @@ def _literal_certificate(g, t_max):
     base_patterns = inv.generator_patterns(g)
     a, b = inv._bounds(g.row_multiplicities, g.col_multiplicities)
     instances = []
-    for t in range(1, t_max + 1):
+    for t in range(2, t_max + 1):
         mt, nt = inv.symbolic_multiplicities(g, t)
         sym_patterns = inv._patterns(mt, nt)
         at, bt = inv._bounds(mt, nt)
@@ -358,7 +381,10 @@ def _literal_certificate(g, t_max):
         sym_by_k = {pat.k: pat for pat in sym_patterns}
         undominated = []
         for combo in combinations_with_replacement(range(len(base_patterns)), t):
-            target = sym_by_k[sum(combo)]
+            target = sym_by_k.get(sum(combo))
+            if target is None:
+                undominated.append(combo)
+                continue
             h = tuple(
                 sum(base_patterns[k].h_exponents[i] for k in combo)
                 for i in range(len(a))

@@ -10,13 +10,14 @@ from hfg.invariants import (
     beta_degree,
     corner_sets,
     generator_patterns,
-    is_totally_ordered,
     resolution,
     s_tuples,
 )
 from hfg.polycore import PLANE, Polynomial, monomials_of_degree
 from hfg.projective import Point
 from hfg.verify import vanishing_order
+
+from conftest import is_totally_ordered
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 

@@ -226,8 +226,11 @@ def test_verify_prints_a_failing_vanishing_order(runner, monkeypatch):
     monkeypatch.setattr(hfg.verify, "vanishing_order", lambda f, p: 0)
     result = runner.invoke(cli.main, ["verify", "--m", "1", "--n", "1"])
     assert result.exit_code == 1
-    # (1|1) has the patterns k=0 and k=1; the note names the last failure
-    assert '"computed": "pattern k=1 at point (0,0): order 0 < 1"' in result.output
+    # (1|1) has the patterns k=0 and k=1; both fail and the first is named
+    assert (
+        '"computed": "2 of 2 (pattern, point) pairs fail; first pattern k=0 at'
+        ' point (0,0): order 0 < 1"' in result.output
+    )
 
 
 def test_library_and_cli_run_the_same_grid_plan(runner):

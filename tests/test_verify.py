@@ -44,6 +44,7 @@ from hfg.verify import (
     check_point_power_product,
     exact_rank,
     grid_elimination_unit,
+    grid_structure_unit,
     hilbert_function_oracle,
     hilbert_series_oracle,
     pattern_ideal,
@@ -333,6 +334,14 @@ def _reference_hilbert(g, d):
     return math.comb(d + 2, 2) - rank
 
 
+# the perfbench seed-1 explicit grid: its chart axes have steps 2 and 4
+_SEED1_GRID = {
+    "P": [["3", "2", "4"], ["1", "-2", "4"]],
+    "M": [2, 2],
+    "Q": [["3", "-6", "-4"], ["3", "-1", "1"], ["3", "-3", "-1"]],
+    "N": [2, 2, 3],
+}
+
 _EXPLICIT_GRIDS = [
     {
         "P": [["3", "2", "4"], ["1", "-2", "4"]],
@@ -356,13 +365,51 @@ _EXPLICIT_GRIDS = [
         abstract_grid((2, 2), (2, 3)),
         abstract_grid((1, 2, 3), (1, 2, 3, 4)),
     ]
-    + [grid_from_json(data) for data in _EXPLICIT_GRIDS],
+    + [grid_from_json(data) for data in _EXPLICIT_GRIDS + [_SEED1_GRID]]
+    # every point shares one chart coordinate, so that axis has step 1
+    + [abstract_grid((1, 2), (1,))],
 )
 def test_hilbert_series_oracle_matches_per_degree_reference(grid):
     top = max(resolution(grid).syzygy_twists)
     expected = [_reference_hilbert(grid, d) for d in range(top + 1)]
     assert hilbert_series_oracle(grid, top) == expected
     assert hilbert_function_oracle(grid, top) == expected[top]
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [((2, 3, 3), (2, 3, 4, 4)), ((1, 2, 3), (1, 2, 3, 4))],
+    ids=["example", "1,2,3|1,2,3,4"],
+)
+def test_rank_oracle_lifts_its_kernel_with_one_prime(
+    monkeypatch, profile, example_budget
+):
+    """In the centred, reduced chart the kernel certificates of the abstract
+    grids lift from the first prime; the chart x0 = 1 needed two."""
+    g = abstract_grid(*profile)
+    used = _primes_used(monkeypatch)
+    hilbert_series_oracle(g, max(resolution(g).syzygy_twists), example_budget)
+    assert used == [_P]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        abstract_grid((2, 3, 3), (2, 3, 4, 4)),
+        abstract_grid((1, 2), (1,)),
+        grid_from_json(_SEED1_GRID),
+    ],
+    ids=["example", "1,2|1", "explicit-seed-1"],
+)
+def test_rank_oracle_is_the_same_in_every_chart(grid, example_budget):
+    """Turning the coordinates moves every point to another chart; the
+    series stays the same."""
+    top = max(resolution(grid).syzygy_twists)
+    series = hilbert_series_oracle(grid, top, example_budget)
+    once = rotate_coordinates(grid)
+    assert hilbert_series_oracle(once, top, example_budget) == series
+    twice = rotate_coordinates(once)
+    assert hilbert_series_oracle(twice, top, example_budget) == series
 
 
 def test_explicit_grids_need_a_common_denominator():
@@ -704,6 +751,28 @@ def test_pattern_vanishing_orders_meet_multiplicities(example_grid):
         for i in range(g.shape[0]):
             for j in range(g.shape[1]):
                 assert vanishing_order(f, g.grid_points[i][j]) >= g.mult[i][j]
+
+
+def test_structure_unit_counts_failures_and_names_the_first(monkeypatch):
+    g = abstract_grid((1, 2), (1, 2))
+    patterns = generator_patterns(g)
+    last = expand_pattern(g, patterns[-1])
+    order = hfg.verify.vanishing_order
+
+    def one_short(f, p):
+        # only the last pattern at point (1,1) falls short
+        return 0 if f == last and p == g.grid_points[1][1] else order(f, p)
+
+    monkeypatch.setattr(hfg.verify, "vanishing_order", one_short)
+    [inst] = grid_structure_unit(g)
+    assert inst.passed is False
+    assert inst.computed == (
+        "1 of %d (pattern, point) pairs fail; first pattern k=%d at point"
+        " (1,1): order 0 < %d" % (4 * len(patterns), patterns[-1].k, g.mult[1][1])
+    )
+    monkeypatch.setattr(hfg.verify, "vanishing_order", order)
+    [inst] = grid_structure_unit(g)
+    assert (inst.passed, inst.computed) == (True, "all orders sufficient")
 
 
 def test_point_power_product_matches_direct_elimination():

@@ -308,9 +308,9 @@ def _run_verify_jobs(jobs, worker_count: int) -> list:
     default=2,
     show_default=True,
     help=(
-        "Largest power t checked: the elimination oracle's ordinary ="
-        " symbolic power equalities and the closed-form resurgence"
-        " certificate both run t = 2..t-max; 1 runs neither."
+        "Largest power t of the elimination oracle's ordinary = symbolic"
+        " power equalities, which run t = 2..t-max; 1 runs none. The"
+        " closed-form resurgence certificate is checked once for every t."
     ),
 )
 @click.option(
@@ -336,7 +336,7 @@ def verify_command(
         raise ParseError("--jobs must be a positive integer")
     g = _load_grid(m, n, grid_path)
     plan = grid_check_plan(g, t_max, budget)
-    report = grid_report(g, t_max, _run_verify_jobs(plan, jobs))
+    report = grid_report(g, _run_verify_jobs(plan, jobs))
     _emit_report(report, output_format)
 
 

@@ -26,7 +26,6 @@ from .fatgrid import (
 )
 from .invariants import (
     alpha_degree,
-    certificate_depth,
     generator_patterns,
     hilbert_from_resolution,
     resolution,
@@ -530,13 +529,21 @@ def grid_hilbert_unit(g: FatGrid, budget: Budget) -> list[CheckInstance]:
     return instances
 
 
+def certificate_depth(t_max) -> int:
+    """The elimination unit's last power t as an int, rejected below 1."""
+    t_max = int(t_max)
+    if t_max < 1:
+        raise DomainError("certificate depth must be a positive integer")
+    return t_max
+
+
 def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
     """The grid checks as independent (unit, args) jobs, longest first so
     that a process pool starts them in that order: the rank oracle, the
     elimination oracle, the structure checks.
 
-    The grid cap, the certificate depth and the rank oracle's matrix cap
-    are checked here, before any unit runs.  Every unit takes the built
+    The grid cap, the elimination depth t_max and the rank oracle's matrix
+    cap are checked here, before any unit runs.  Every unit takes the built
     grid itself: a ``FatGrid`` is a frozen dataclass of points, lines and
     integers, so it pickles whole into a worker process and is never
     rebuilt there.
@@ -551,11 +558,11 @@ def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
     ]
 
 
-def grid_report(g: FatGrid, t_max: int, results) -> VerificationReport:
+def grid_report(g: FatGrid, results) -> VerificationReport:
     """Concatenate the plan's unit results whole, one route after another:
     structure (vanishing orders), elimination (pattern ideal, then
     t = 2..t_max), rank (Hilbert function by degree, then initial degree),
-    then the closed-form resurgence certificate for t = 2..t_max."""
+    then the closed-form resurgence certificate, checked for every t."""
     hilbert, elimination, structure = results
     return VerificationReport(
         "grid verification, M=%s, N=%s"
@@ -563,7 +570,7 @@ def grid_report(g: FatGrid, t_max: int, results) -> VerificationReport:
         structure
         + elimination
         + hilbert
-        + resurgence_certificate(g, t_max).instances,
+        + resurgence_certificate(g).instances,
     )
 
 
@@ -572,4 +579,4 @@ def check_grid_end_to_end(
 ) -> VerificationReport:
     """Run the grid check plan serially; ``hfg verify`` runs the same plan."""
     plan = grid_check_plan(g, t_max, budget)
-    return grid_report(g, t_max, [unit(*args) for unit, args in plan])
+    return grid_report(g, [unit(*args) for unit, args in plan])

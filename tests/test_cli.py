@@ -255,8 +255,8 @@ def test_invariants_has_no_budget_flag(runner):
 
 
 def test_invariants_has_no_t_max_flag(runner):
-    """The certificate runs to t = 2 in ``hfg invariants``; ``hfg verify
-    --t-max`` is where its depth is set."""
+    """The certificate holds for every t, so ``hfg invariants`` has no
+    depth to set; ``hfg verify --t-max`` sets the elimination oracle's."""
     args = ["invariants", "--m", "1,2", "--n", "1"]
     result = runner.invoke(cli.main, args + ["--t-max", "2"])
     assert result.exit_code == 2
@@ -552,7 +552,9 @@ def test_table_rows_end_without_spaces(runner, argv):
 
 
 def test_verify_help_names_both_uses_of_t_max(runner):
+    """The help names the one use of ``--t-max``, the elimination oracle's
+    depth, and says the certificate does not depend on it."""
     text = " ".join(invoke(runner, "verify", "--help").output.split())
     assert "elimination oracle's" in text
-    assert "resurgence certificate" in text
-    assert "t = 2..t-max; 1 runs neither" in text
+    assert "t = 2..t-max; 1 runs none" in text
+    assert "resurgence certificate is checked once for every t" in text

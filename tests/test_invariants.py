@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import tracemalloc
 from contextlib import ExitStack
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -39,7 +40,7 @@ from hfg.invariants import (
     waldschmidt,
 )
 from hfg.polycore import ideal_equal
-from hfg.verify import grid_elimination_unit, pattern_ideal
+from hfg.verify import check_grid_end_to_end, grid_elimination_unit, pattern_ideal
 
 from conftest import is_totally_ordered
 
@@ -194,16 +195,23 @@ def test_pattern_ideal_matches_oracle_on_small_grid():
 
 
 def test_resurgence_certificate_trivial_t1(example_grid):
-    # the first symbolic power is the grid ideal itself: nothing to certify
-    report = resurgence_certificate(example_grid, 1)
+    """t = 1 is the grid itself: the check's first evaluation gives back the
+    base bounds and the m_r + n_s patterns, and no instance names one t."""
+    report = resurgence_certificate(example_grid)
     assert report.passed
-    assert report.instances == []
-    labels = [inst.label for inst in resurgence_certificate(example_grid, 3).instances]
-    assert [label[:4] for label in labels] == ["t=2:"] * 3 + ["t=3:"] * 3
+    assert [inst.label[:9] for inst in report.instances] == ["every t: "] * 2
+    assert report.instances[0].computed == (
+        "t=1: a'=[6, 6, 5], b'=[0, 0, -1, -2], 7 patterns;"
+        " t=2: a'=[12, 12, 10], b'=[0, 0, -2, -4], 13 patterns"
+    )
+    assert report.instances[1].computed == (
+        "t=2: all 13 symbolic patterns are balanced products;"
+        " t=3: all 19 symbolic patterns are balanced products"
+    )
 
 
 def test_resurgence_certificate_example_t3(example_grid, example_budget):
-    report = resurgence_certificate(example_grid, 3)
+    report = resurgence_certificate(example_grid)
     assert report.passed
     instances = grid_elimination_unit(example_grid, 3, example_budget)
     skipped = [inst for inst in instances if inst.flag]
@@ -215,7 +223,7 @@ def test_resurgence_certificate_example_t3(example_grid, example_budget):
 
 def test_resurgence_certificate_with_groebner_cross_check():
     g = abstract_grid((1, 2), (1, 2))
-    report = resurgence_certificate(g, 2)
+    report = resurgence_certificate(g)
     assert report.passed
     oracle_instances = [
         inst
@@ -225,6 +233,34 @@ def test_resurgence_certificate_with_groebner_cross_check():
     assert len(oracle_instances) == 1
     assert all(inst.flag is None for inst in oracle_instances)
     assert all(inst.computed == "equal" for inst in oracle_instances)
+
+
+def test_certificate_is_the_same_at_every_depth_and_small(
+    example_grid, example_budget, monkeypatch
+):
+    """``--t-max`` sets only the elimination unit's depth: the certificate
+    instances of the plan are the same at t_max = 1, 2 and 18, and at 18
+    the certificate allocates under 1 MB (the t-fold product enumeration it
+    replaces peaked at 78.5 MB there)."""
+    certify = hfg.verify.resurgence_certificate
+    peaks = []
+
+    def traced(g):
+        tracemalloc.start()
+        try:
+            return certify(g)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(hfg.verify, "resurgence_certificate", traced)
+    tails = [
+        check_grid_end_to_end(example_grid, example_budget, t_max).instances[-2:]
+        for t_max in (1, 2, 18)
+    ]
+    assert tails[0] == tails[1] == tails[2] == certify(example_grid).instances
+    assert all(inst.passed for inst in tails[0])
+    assert len(peaks) == 3 and peaks[-1] < 2**20
 
 
 def test_invariants_report_serialization(example_grid):
@@ -264,7 +300,7 @@ def test_resurgence_certificate_above_the_grid_cap_builds_no_symbolic_grid(
     monkeypatch.setattr(hfg.verify, "symbolic_grid", counted)
     g = abstract_grid((1, 2), (1, 2))  # total multiplicity 8
     budget = dataclasses.replace(DEFAULT_BUDGET, max_grid_multiplicity=12)
-    assert resurgence_certificate(g, 3).passed
+    assert resurgence_certificate(g).passed
     instances = grid_elimination_unit(g, 3, budget)
     oracle = [inst for inst in instances if "elimination oracle" in inst.label]
     assert [inst.status for inst in oracle] == ["skipped", "skipped"]
@@ -289,74 +325,163 @@ def test_invariants_report_runs_no_oracle(monkeypatch):
     assert report["resurgence"] == 1
 
 
-def _unbalance_the_split(monkeypatch):
+def _shift_the_vertical_exponents(monkeypatch):
+    """An off-by-one pattern map: (b_j + k + 1)_+ in place of (b_j + k)_+."""
     monkeypatch.setattr(
-        hfg.invariants, "_balanced_split", lambda k, t: [k] + [0] * (t - 1)
+        hfg.invariants,
+        "_exponent_row",
+        lambda a, b, k: tuple(max(x - k, 0) for x in a)
+        + tuple(max(y + k + 1, 0) for y in b),
     )
 
 
 def test_resurgence_certificate_reports_a_pattern_mismatch(monkeypatch):
-    _unbalance_the_split(monkeypatch)
-    report = resurgence_certificate(abstract_grid((1, 2), (1, 1)), 2)
+    """Bounds and count still scale by t, but the shifted patterns are no
+    longer balanced products: only the witness can see it."""
+    _shift_the_vertical_exponents(monkeypatch)
+    report = resurgence_certificate(abstract_grid((1, 2), (1, 1)))
     assert not report.passed
     assert [(inst.computed, inst.passed) for inst in report.failures()] == [
-        ("mismatch at k=[2, 3, 4]", False)
+        (
+            "t=2: mismatch at K=[0, 1, 2, 3, 4];"
+            " t=3: mismatch at K=[0, 1, 2, 3, 4, 5, 6]",
+            False,
+        )
     ]
 
 
-def test_resurgence_certificate_reports_undominated_products(monkeypatch):
+def test_the_witness_at_t3_catches_a_symbolic_map_that_is_not_affine(
+    monkeypatch,
+):
+    """Column multiplicities padded from t = 3 on are right at t = 1 and
+    t = 2, where the bounds are checked; the third depth of the witness
+    fails."""
     multiplicities = hfg.invariants.symbolic_multiplicities
 
+    def padded_from_t3(g, t):
+        m, n = multiplicities(g, t)
+        return m, [x + (t > 2) for x in n]
+
+    monkeypatch.setattr(hfg.invariants, "symbolic_multiplicities", padded_from_t3)
+    report = resurgence_certificate(abstract_grid((1, 2), (1, 1)))
+    assert [inst.computed for inst in report.failures()] == [
+        "t=2: all 5 symbolic patterns are balanced products;"
+        " t=3: mismatch at K=[0, 1, 2, 3, 4, 5, 6, 7]",
+    ]
+
+
+def _padded(multiplicities):
+    """One more on every column multiplicity of the symbolic grids."""
+
     def padded(g, t):
-        # one more on every column multiplicity of the symbolic grids
         m, n = multiplicities(g, t)
         return m, [x + (t > 1) for x in n]
 
-    monkeypatch.setattr(hfg.invariants, "symbolic_multiplicities", padded)
-    report = resurgence_certificate(abstract_grid((1, 2), (1, 1)), 2)
-    assert [inst.computed for inst in report.failures()] == [
-        "a'=[5, 3], b'=[0, 0], 6 patterns",
-        "mismatch at k=[0, 1, 2, 3, 4]",
-        "failures at [(0, 0), (0, 1), (0, 2)]",
-    ]
+    return padded
 
 
-def test_resurgence_certificate_reports_a_missing_symbolic_pattern(monkeypatch):
-    """N' = tN - (t-1) leaves the symbolic family too few patterns for the
-    largest t-fold index sums: those products fail, and nothing raises."""
-    multiplicities = hfg.invariants.symbolic_multiplicities
+def _short(multiplicities):
+    """N' = tN - (t-1) in place of N' = tN."""
 
     def short(g, t):
         m, n = multiplicities(g, t)
         return m, [x - (t - 1) for x in n]
 
-    monkeypatch.setattr(hfg.invariants, "symbolic_multiplicities", short)
-    report = resurgence_certificate(abstract_grid((1, 2), (1, 2, 3)), 2)
-    assert not report.passed
+    return short
+
+
+def _bounds_without_the_minus_one(M, N):
+    """a_i = m_{r-i+1} + n_s, one more than the true bound."""
+    r, s = len(M), len(N)
+    return (
+        [M[r - 1 - i] + N[-1] for i in range(r)],
+        [N[s - 1 - j] - N[-1] for j in range(s)],
+    )
+
+
+def test_resurgence_certificate_reports_undominated_products(monkeypatch):
+    """Padded symbolic grids have bounds past t*a: the symbolic pattern of K
+    is then no longer what every t-fold product dominates."""
+    monkeypatch.setattr(
+        hfg.invariants,
+        "symbolic_multiplicities",
+        _padded(hfg.invariants.symbolic_multiplicities),
+    )
+    report = resurgence_certificate(abstract_grid((1, 2), (1, 1)))
     assert [inst.computed for inst in report.failures()] == [
-        "a'=[7, 5], b'=[0, -2, -4], 8 patterns",
-        "mismatch at k=[0, 1, 2, 3, 4, 5, 6, 7]",
-        # 4 + 4 is past the last symbolic pattern, k = 7
-        "failures at [(4, 4)]",
+        "t=1: a'=[2, 1], b'=[0, 0], 3 patterns;"
+        " t=2: a'=[5, 3], b'=[0, 0], 6 patterns",
+        # K = 5 at t = 2 and K = 7 at t = 3 are no index sum of base patterns
+        "t=2: mismatch at K=[0, 1, 2, 3, 4, 5];"
+        " t=3: mismatch at K=[0, 1, 2, 3, 4, 5, 6, 7]",
+    ]
+
+
+def test_resurgence_certificate_reports_a_missing_symbolic_pattern(monkeypatch):
+    """N' = tN - (t-1) leaves the symbolic family one pattern short of the
+    t*(mu-1) + 1 index sums: both instances fail, and nothing raises."""
+    monkeypatch.setattr(
+        hfg.invariants,
+        "symbolic_multiplicities",
+        _short(hfg.invariants.symbolic_multiplicities),
+    )
+    report = resurgence_certificate(abstract_grid((1, 2), (1, 2, 3)))
+    assert not report.passed
+    assert [(inst.expected, inst.computed) for inst in report.failures()] == [
+        (
+            "t=1: a'=[4, 3], b'=[0, -1, -2], 5 patterns;"
+            " t=2: a'=[8, 6], b'=[0, -2, -4], 9 patterns",
+            "t=1: a'=[4, 3], b'=[0, -1, -2], 5 patterns;"
+            " t=2: a'=[7, 5], b'=[0, -2, -4], 8 patterns",
+        ),
+        (
+            "t=2: all 9 symbolic patterns are balanced products;"
+            " t=3: all 13 symbolic patterns are balanced products",
+            "t=2: mismatch at K=[0, 1, 2, 3, 4, 5, 6, 7];"
+            " t=3: mismatch at K=[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]",
+        ),
+    ]
+
+
+def test_resurgence_certificate_fails_under_a_bounds_mutation(monkeypatch):
+    """Bounds one too large scale as t*a - (t - 1): right at t = 1, wrong
+    at t = 2, and the patterns built on them are no balanced products."""
+    monkeypatch.setattr(hfg.invariants, "_bounds", _bounds_without_the_minus_one)
+    report = resurgence_certificate(abstract_grid((1, 2), (1, 1)))
+    assert [inst.computed for inst in report.failures()] == [
+        "t=1: a'=[3, 2], b'=[0, 0], 3 patterns;"
+        " t=2: a'=[5, 3], b'=[0, 0], 5 patterns",
+        "t=2: mismatch at K=[0, 1, 2, 3, 4];"
+        " t=3: mismatch at K=[0, 1, 2, 3, 4, 5, 6]",
     ]
 
 
 def test_failed_certificate_is_an_invalid_grid(monkeypatch):
-    _unbalance_the_split(monkeypatch)
-    with pytest.raises(GridError, match="resurgence certificate failed: t=2: "):
+    _shift_the_vertical_exponents(monkeypatch)
+    with pytest.raises(GridError, match="resurgence certificate failed: every t: "):
         invariants_report(abstract_grid((1, 2), (1, 1)))
     result = CliRunner().invoke(cli.main, ["invariants", "--m", "1,2", "--n", "1,1"])
     assert result.exit_code == 2
     assert result.stderr == (
-        "invalid grid: resurgence certificate failed: t=2: every symbolic"
-        " pattern is the balanced t-fold product of base patterns\n"
+        "invalid grid: resurgence certificate failed: every t: symbolic pattern"
+        " K is the product of base patterns on the balanced split of K (each"
+        " k_l is floor(K/t) or ceil(K/t)), where both inequalities are"
+        " equalities\n"
     )
 
 
+def _balanced_split(kbar, t):
+    """t integers summing to kbar, each floor(kbar/t) or ceil(kbar/t)."""
+    q, rem = divmod(kbar, t)
+    return [q + 1] * rem + [q] * (t - rem)
+
+
 def _literal_certificate(g, t_max):
-    """The certificate's instances by the literal enumeration: every t-fold
+    """The certificate's verdicts by the literal enumeration, as
+    (t, label, passed) for t = 2..t_max: the scaled bounds, every symbolic
+    pattern rebuilt from a balanced split of its index, and every t-fold
     product of base patterns summed index by index from the pattern
-    attributes, each symbolic pattern rebuilt from ``_balanced_split``."""
+    attributes."""
     inv = hfg.invariants
     base_patterns = inv.generator_patterns(g)
     a, b = inv._bounds(g.row_multiplicities, g.col_multiplicities)
@@ -365,15 +490,14 @@ def _literal_certificate(g, t_max):
         mt, nt = inv.symbolic_multiplicities(g, t)
         sym_patterns = inv._patterns(mt, nt)
         at, bt = inv._bounds(mt, nt)
-        count = t * (len(base_patterns) - 1) + 1
         structural = (
             at == [t * x for x in a]
             and bt == [t * y for y in b]
-            and len(sym_patterns) == count
+            and len(sym_patterns) == t * (len(base_patterns) - 1) + 1
         )
         mismatches = []
         for pat in sym_patterns:
-            ks = inv._balanced_split(pat.k, t)
+            ks = _balanced_split(pat.k, t)
             h = tuple(sum(max(x - k, 0) for k in ks) for x in a)
             v = tuple(sum(max(y + k, 0) for k in ks) for y in b)
             if h != pat.h_exponents or v != pat.v_exponents:
@@ -399,68 +523,51 @@ def _literal_certificate(g, t_max):
             ):
                 undominated.append(combo)
         instances += [
-            (
-                "t=%d: symbolic pattern family scales the base exponent bounds by t" % t,
-                "a'=t*a, b'=t*b, %d patterns" % count,
-                "a'=%s, b'=%s, %d patterns" % (at, bt, len(sym_patterns)),
-                structural,
-            ),
-            (
-                "t=%d: every symbolic pattern is the balanced t-fold product of"
-                " base patterns" % t,
-                "all %d patterns match" % len(sym_patterns),
-                "all match" if not mismatches else "mismatch at k=%s" % mismatches,
-                not mismatches,
-            ),
-            (
-                "t=%d: every t-fold product of base patterns is divisible by a"
-                " symbolic generator" % t,
-                "all products dominate",
-                "all dominate" if not undominated else "failures at %s" % undominated[:3],
-                not undominated,
-            ),
+            (t, "scales the base exponent bounds by t", structural),
+            (t, "balanced t-fold product", not mismatches),
+            (t, "every t-fold product dominates", not undominated),
         ]
     return instances
+
+
+MUTATIONS = {
+    "none": [],
+    "short": [("symbolic_multiplicities", _short)],
+    "padded": [("symbolic_multiplicities", _padded)],
+    "bounds": [("_bounds", lambda bounds: _bounds_without_the_minus_one)],
+    "shifted": [
+        (
+            "_exponent_row",
+            lambda row: lambda a, b, k: tuple(max(x - k, 0) for x in a)
+            + tuple(max(y + k + 1, 0) for y in b),
+        )
+    ],
+}
 
 
 profiles = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    M=profiles,
-    N=profiles,
-    t_max=st.integers(min_value=1, max_value=4),
-    unbalanced=st.booleans(),
-    padded=st.booleans(),
-)
-def test_resurgence_certificate_matches_the_literal_enumeration(
-    M, N, t_max, unbalanced, padded
-):
-    # the two patches of the mutation tests above, so that failing instances
-    # and their texts are compared too
-    multiplicities = hfg.invariants.symbolic_multiplicities
+@given(M=profiles, N=profiles, mutation=st.sampled_from(sorted(MUTATIONS)))
+def test_resurgence_certificate_matches_the_literal_enumeration(M, N, mutation):
+    """The check's verdict for every t equals the literal enumeration's
+    verdict at t_max = 2, 3 and 4, as the code stands and under each
+    mutation of the tests above."""
+    g = abstract_grid(M, N)
     with ExitStack() as patches:
-        if unbalanced:
+        for name, mutate in MUTATIONS[mutation]:
             patches.enter_context(
                 mock.patch.object(
-                    hfg.invariants, "_balanced_split", lambda k, t: [k] + [0] * (t - 1)
+                    hfg.invariants, name, mutate(getattr(hfg.invariants, name))
                 )
             )
-        if padded:
-            patches.enter_context(
-                mock.patch.object(
-                    hfg.invariants,
-                    "symbolic_multiplicities",
-                    lambda g, t: (
-                        multiplicities(g, t)[0],
-                        [x + (t > 1) for x in multiplicities(g, t)[1]],
-                    ),
-                )
-            )
-        g = abstract_grid(M, N)
-        report = resurgence_certificate(g, t_max)
-        assert [
-            (inst.label, inst.expected, inst.computed, inst.passed)
-            for inst in report.instances
-        ] == _literal_certificate(g, t_max)
+        verdict = resurgence_certificate(g).passed
+        literal = _literal_certificate(g, 4)
+    for t_max in (2, 3, 4):
+        assert verdict == all(ok for t, _, ok in literal if t <= t_max), (
+            mutation,
+            t_max,
+        )
+    # the code as it stands passes; each mutation fails
+    assert verdict == (mutation == "none")

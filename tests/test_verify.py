@@ -551,8 +551,8 @@ def test_rotated_elimination_unit_matches_the_original_coordinates(grid):
 
 def test_grid_report_concatenates_the_units_by_route():
     """Structure, then elimination from t = 2, then the rank oracle by
-    degree and the initial degree, then the closed-form certificate from
-    t = 2; at t_max = 1 neither power block runs."""
+    degree and the initial degree, then the closed-form certificate for
+    every t; at t_max = 1 only the elimination's power block is gone."""
     g = abstract_grid((1, 2), (1, 1))
     report = check_grid_end_to_end(g, DEFAULT_BUDGET, t_max=2)
     assert [inst.label for inst in report.instances] == [
@@ -564,11 +564,12 @@ def test_grid_report_concatenates_the_units_by_route():
         for d in range(6)
     ] + [
         "initial degree matches the first nonzero oracle dimension",
-        "t=2: symbolic pattern family scales the base exponent bounds by t",
-        "t=2: every symbolic pattern is the balanced t-fold product of"
-        " base patterns",
-        "t=2: every t-fold product of base patterns is divisible by a"
-        " symbolic generator",
+        "every t: a t-fold product of base patterns dominates symbolic"
+        " pattern K = k_1+...+k_t, sum_l (a_i - k_l)_+ >= (t*a_i - K)_+"
+        " and sum_l (b_j + k_l)_+ >= (t*b_j + K)_+ (subadditivity)",
+        "every t: symbolic pattern K is the product of base patterns on"
+        " the balanced split of K (each k_l is floor(K/t) or ceil(K/t)),"
+        " where both inequalities are equalities",
     ]
     assert report.passed
     assert check_grid_end_to_end(g, DEFAULT_BUDGET, t_max=1).instances == [

@@ -1,27 +1,23 @@
 """Fat-point conditions and the exact rank of their matrices.
 
 ``point_conditions`` is the one encoding of a fat point's derivative
-conditions as integer rows, and ``pivot_columns`` the certified rank of
-every leading block of columns of an integer matrix.
+conditions as integer rows at an integer chart point, and
+``pivot_columns`` the certified rank of every leading block of columns of
+an integer matrix.
 """
 from __future__ import annotations
 
-import bisect
 import math
 
 
-def point_conditions(point, m: int, top: int, scale: int):
-    """The rows of a fat point of multiplicity m, one per derivative of
-    order o1 + o2 < m (Macaulay's inverse system; Emsalem and Iarrobino
-    1995), lazily and by increasing order.  With ``point`` = (p0, p1, p2) in
-    integers and p0 dividing ``scale``, row (o1, o2) holds
-    (a)_o1 (b)_o2 p1^(a-o1) p2^(b-o2) (scale/p0)^(a+b) at the chart column
-    u^a v^b, index C(a+b+1, 2) + b, for a + b <= top: the derivative at
-    (p1/p0, p2/p0) over p0^(o1+o2), times scale^(a+b) per column, so
-    integral with the rank of every leading block unchanged.
+def point_conditions(u: int, v: int, m: int, top: int):
+    """The rows of a fat point of multiplicity m at the integer chart point
+    (u, v), one per derivative of order o1 + o2 < m (Macaulay's inverse
+    system; Emsalem and Iarrobino 1995), lazily and by increasing order.
+    Row (o1, o2) holds (a)_o1 (b)_o2 u^(a-o1) v^(b-o2), the derivative of
+    x^a y^b at (u, v), at the chart column x^a y^b, index
+    C(a+b+1, 2) + b, for a + b <= top.
     """
-    p0, p1, p2 = point
-    powers = [(scale // p0) ** e for e in range(top + 1)]
 
     def falling(base: int, order: int) -> list[int]:
         # the order-th derivative of x^a at x = base, for a = 0..top
@@ -32,12 +28,8 @@ def point_conditions(point, m: int, top: int, scale: int):
 
     for order in range(m):
         for o1 in range(order, -1, -1):
-            u, v = falling(p1, o1), falling(p2, order - o1)
-            yield [
-                u[a] * v[e - a] * powers[e]
-                for e in range(top + 1)
-                for a in range(e, -1, -1)
-            ]
+            x, y = falling(u, o1), falling(v, order - o1)
+            yield [x[a] * y[e - a] for e in range(top + 1) for a in range(e, -1, -1)]
 
 
 # Miller-Rabin with these bases is exact for every n < 3.3 * 10**24
@@ -88,8 +80,8 @@ def _unpack(value: int, count: int, size: int) -> list[int]:
     ]
 
 
-def _echelon_mod(matrix, width: int, p: int):
-    """Forward elimination mod p of the first ``width`` columns.
+def _echelon_mod(matrix, p: int):
+    """Forward elimination mod p over every column.
 
     Each row is one int with one slot per column, column 0 in the most
     significant slot, so a row update is one multiply-add and a row cleared
@@ -103,11 +95,12 @@ def _echelon_mod(matrix, width: int, p: int):
     Returns the pivot columns, each pivot row's slots after its pivot
     column, and the slot size in bytes.
     """
+    width = len(matrix[0])
     bound = p + min(len(matrix), width) * (p - 1) ** 2
     size = (bound.bit_length() + 7) // 8
     bits = 8 * size
     slot = (1 << bits) - 1
-    active = [_pack([x % p for x in row[:width]], size) for row in matrix]
+    active = [_pack([x % p for x in row], size) for row in matrix]
     pivots: list[int] = []
     tails: list[int] = []
     for col in range(width):
@@ -245,16 +238,16 @@ def pivot_columns(matrix) -> list[int]:
     least its nullity mod p, and the two ranks agree.
 
     The primes come from ``_primes``, largest first, and each is
-    eliminated once: over every column, or through the last pivot once the
-    pivots so far have full row rank, as every pending column then lies
-    before it.  If a further prime's pivots through the last column whose
-    certificate is still pending agree with p's, its kernel vectors join
-    the Chinese remaindering; if they show less rank on a leading block, it
-    is skipped; if they show more, p was unlucky and everything restarts
-    from the new prime's elimination, unless that elimination stopped at
-    the last pivot short of full row rank, when the prime is skipped too.
-    Only finitely many primes divide a nonzero minor or a kernel
-    denominator, so the loop ends with no other route.
+    eliminated once, over every column.  Of two pivot lists, the
+    lexicographically smaller, a shorter list read as ending in the column
+    count, has more rank on the first leading block where their ranks
+    differ; so the pivot list over Q is the least over all primes.  A
+    further prime whose whole pivot list is larger than p's is skipped; one
+    whose list is equal joins its kernel vectors to the Chinese
+    remaindering; one whose list is smaller shows that p was unlucky, and
+    everything restarts from its elimination.  Only finitely many primes
+    divide a nonzero minor or a kernel denominator, so the loop ends with
+    no other route.
     """
     rows = len(matrix)
     width = len(matrix[0]) if rows else 0
@@ -262,22 +255,12 @@ def pivot_columns(matrix) -> list[int]:
         return []
     pending: dict[int, list[int]] = {}
     for p in _primes():
-        # with full row rank the blocks past the last pivot are exact
-        used = pivots[-1] + 1 if pending and len(pivots) == rows else width
-        p_pivots, tails, size = _echelon_mod(matrix, used, p)
-        if pending:
-            limit = max(pending) + 1
-            base = pivots[: bisect.bisect_left(pivots, limit)]
-            head = p_pivots[: bisect.bisect_left(p_pivots, limit)]
-            if head + [width] > base + [width]:
-                # p shows less rank on a leading block: skip it
-                continue
-            if head != base and len(p_pivots) < rows and used < width:
-                # more rank early, but short of full row rank at the cut,
-                # so no pivots past it to restart from
-                continue
-        if pending and head == base:
-            kernel = _kernel_mod(base, tails, size, used, list(pending), p)
+        p_pivots, tails, size = _echelon_mod(matrix, p)
+        if pending and p_pivots + [width] > pivots + [width]:
+            # p shows less rank on a leading block: skip it
+            continue
+        if pending and p_pivots == pivots:
+            kernel = _kernel_mod(pivots, tails, size, width, list(pending), p)
             inverse = pow(modulus, -1, p)
             for (j, old), new in zip(list(pending.items()), kernel):
                 pending[j] = [
@@ -294,7 +277,7 @@ def pivot_columns(matrix) -> list[int]:
             needed = [j for j in range(end) if j not in is_pivot]
             if not needed:
                 return pivots
-            kernel = _kernel_mod(pivots, tails, size, used, needed, p)
+            kernel = _kernel_mod(pivots, tails, size, width, needed, p)
             pending = dict(zip(needed, kernel))
             modulus = p
         _drop_certified(matrix, pivots, pending, modulus)

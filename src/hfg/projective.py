@@ -29,7 +29,7 @@ def _normalize(coords: Sequence[Scalar], what: str) -> tuple[Fraction, ...]:
         raise DomainError(f"{what} needs exactly 3 coordinates")
     pivot = next((v for v in values if v != 0), None)
     if pivot is None:
-        raise DomainError(f"{what} coordinates must not all vanish")
+        raise DomainError(f"the coordinates of {what} must not all vanish")
     return tuple(v / pivot for v in values)
 
 

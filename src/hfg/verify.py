@@ -55,10 +55,11 @@ from .report import CheckInstance, VerificationReport, skipped, verdict
 def vanishing_order(f: Polynomial, p) -> int | float:
     """Order of vanishing of a homogeneous plane form at a projective point:
     the first derivative order whose ``point_conditions`` row it fails, in
-    the chart of the point's last nonzero coordinate c.  With scale c the
-    rows differentiate at the primitive integer coordinates, so each term
-    (denominators cleared) is weighted by c to its exponent on c's variable,
-    which by homogeneity scales the chart by c.  Zero gets +infinity.
+    the chart of the point's last nonzero coordinate c.  The rows
+    differentiate at the other two primitive integer coordinates, so each
+    term (denominators cleared) is weighted by c to its exponent on c's
+    variable, which by homogeneity scales the chart by c.  Zero gets
+    +infinity.
     """
     if f.is_zero:
         return math.inf
@@ -78,7 +79,7 @@ def vanishing_order(f: Polynomial, p) -> int | float:
         for exps, num in f.integer_terms()[1]
     ]
     top = f.total_degree()
-    rows = point_conditions((scale, ints[i], ints[j]), top + 1, top, scale)
+    rows = point_conditions(ints[i], ints[j], top + 1, top)
     # a nonzero form of degree top fails some row of order <= top
     for order in range(top + 1):
         block = itertools.islice(rows, order + 1)
@@ -134,7 +135,7 @@ def hilbert_series_oracle(
     matrix = [
         row
         for (i, j), u, v in zip(cells, *axes)
-        for row in point_conditions((1, u, v), g.mult[i][j], top, 1)
+        for row in point_conditions(u, v, g.mult[i][j], top)
     ]
     pivots = pivot_columns(matrix)
     return [
@@ -243,7 +244,7 @@ def check_point_power_product(
                 verdict(
                     "one point off the triangle, one on a coordinate line,"
                     " m=1: product equals I(P*Q)^n",
-                    ideal_equal(result, ideal_power(point_ideal(pq), n)),
+                    ideal_equal(result, target),
                 )
             )
         else:
@@ -529,11 +530,14 @@ def grid_hilbert_unit(g: FatGrid, budget: Budget) -> list[CheckInstance]:
     return instances
 
 
-def certificate_depth(t_max) -> int:
-    """The elimination unit's last power t as an int, rejected below 1."""
+def elimination_depth(t_max) -> int:
+    """The elimination oracle's last power t as an int, rejected below 1."""
     t_max = int(t_max)
     if t_max < 1:
-        raise DomainError("certificate depth must be a positive integer")
+        raise DomainError(
+            "the elimination oracle's last power t_max (--t-max) must be a"
+            " positive integer"
+        )
     return t_max
 
 
@@ -549,7 +553,7 @@ def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
     rebuilt there.
     """
     budget.check_grid(g.total_multiplicity)
-    t_max = certificate_depth(t_max)
+    t_max = elimination_depth(t_max)
     _check_rank_matrix(g, max(resolution(g).syzygy_twists), budget)
     return [
         (grid_hilbert_unit, (g, budget)),

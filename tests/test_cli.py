@@ -376,6 +376,14 @@ def test_power_check_rejects_undefined_product(runner):
     assert "domain error" in result.output
 
 
+def test_power_check_rejects_the_zero_point(runner):
+    result = runner.invoke(cli.main, ["power-check", "--p", "0:0:0", "--q", "1:1:1"])
+    assert result.exit_code == 2
+    assert result.output == (
+        "domain error: the coordinates of a point must not all vanish\n"
+    )
+
+
 def test_power_check_rejects_bad_point_text(runner):
     result = runner.invoke(cli.main, ["power-check", "--p", "1:2", "--q", "1:1:1"])
     assert result.exit_code == 2
@@ -456,7 +464,8 @@ def test_verify_rejects_certificate_depth_before_any_oracle(runner, monkeypatch)
     )
     assert result.exit_code == 2
     assert result.output == (
-        "domain error: certificate depth must be a positive integer\n"
+        "domain error: the elimination oracle's last power t_max (--t-max)"
+        " must be a positive integer\n"
     )
 
 

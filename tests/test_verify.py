@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -137,9 +138,9 @@ def _primes_used(monkeypatch):
     primes = []
     echelon = hfg.conditions._echelon_mod
 
-    def recorded(matrix, width, p):
+    def recorded(matrix, p):
         primes.append(p)
-        return echelon(matrix, width, p)
+        return echelon(matrix, p)
 
     monkeypatch.setattr(hfg.conditions, "_echelon_mod", recorded)
     return primes
@@ -176,7 +177,7 @@ def test_is_prime_matches_trial_division():
     ],
 )
 def test_rank_that_drops_mod_the_first_prime_is_exact(monkeypatch, matrix, pivots):
-    assert hfg.conditions._echelon_mod(matrix, len(matrix[0]), _P)[0] != pivots
+    assert hfg.conditions._echelon_mod(matrix, _P)[0] != pivots
     primes = _primes_used(monkeypatch)
     assert pivot_columns(matrix) == pivots == _reference_pivot_columns(matrix)
     assert exact_rank(matrix) == len(pivots)
@@ -228,13 +229,13 @@ _SMALL_PRIMES = [7, 5, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
         # column 0, less rank on a leading block, so 5 is skipped and 11
         # joins 7 in the Chinese remaindering
         ([[5, 3], [10, 6]], [7, 5, 11], [7, 11]),
-        # (b) mod 7 the pivots [0, 2, 3] have full row rank with column 1
-        # pending; mod 5 column 1 is a pivot, more rank early, but columns
-        # 0..3 have rank 2 < 3 at the cut, so 5 is skipped; 11 restarts
+        # (b) mod 7 the pivots are [0, 2, 3] with column 1 pending; mod 5
+        # they are [0, 1, 4], more rank on the first two columns, so 7 was
+        # unlucky and everything restarts from 5's kernel vectors
         (
             [[2, 1, 0, -2, 0], [-2, -1, 0, -3, -3], [-1, -4, -2, 1, -1]],
             [7, 5, 11],
-            [7, 11],
+            [7, 5],
         ),
     ],
 )
@@ -247,15 +248,15 @@ def test_a_prime_whose_pivots_disagree_is_skipped(
     assert pivot_columns(matrix) == _reference_pivot_columns(matrix)
     assert used[:3] == used_first
     assert kernels[:2] == kernels_first
-    assert 5 not in kernels
 
 
-def _low_rank_matrices():
-    """Products of random integer factors, some entries multiples of the
-    first prime, so the rank mod that prime can drop."""
-    entries = st.one_of(
-        st.integers(-3, 3), st.sampled_from([_P, -_P, 2 * _P, _P + 1])
-    )
+# small entries and multiples of the first prime, so the rank mod that
+# prime can drop
+_NEAR_P = st.one_of(st.integers(-3, 3), st.sampled_from([_P, -_P, 2 * _P, _P + 1]))
+
+
+def _low_rank_matrices(entries=_NEAR_P):
+    """Products of random integer factors with the given entries."""
 
     def factors(shape):
         rows, inner, cols = shape
@@ -285,6 +286,58 @@ def _low_rank_matrices():
 @given(_low_rank_matrices())
 def test_pivot_columns_match_the_fraction_reference(matrix):
     assert pivot_columns(matrix) == _reference_pivot_columns(matrix)
+
+
+def _moduli_certified(monkeypatch):
+    """Record the modulus of every kernel certificate pivot_columns checks."""
+    moduli = []
+    drop = hfg.conditions._drop_certified
+
+    def recorded(matrix, pivots, pending, modulus):
+        moduli.append(modulus)
+        return drop(matrix, pivots, pending, modulus)
+
+    monkeypatch.setattr(hfg.conditions, "_drop_certified", recorded)
+    return moduli
+
+
+def _branches(used, moduli):
+    """What pivot_columns did with each prime after the first: a restart
+    certifies mod that prime alone, or returns at once with every block
+    exact; a join certifies mod a product of primes; a skip neither."""
+    branches = collections.Counter()
+    for p in used[1:]:
+        if p in moduli or (p == used[-1] and not any(m % p == 0 for m in moduli)):
+            branches["restart"] += 1
+        elif any(m % p == 0 for m in moduli):
+            branches["join"] += 1
+        else:
+            branches["skip"] += 1
+    return branches
+
+
+def test_pivot_columns_with_small_primes_skip_join_and_restart(monkeypatch):
+    """Small primes first make every branch of the prime loop run: a prime
+    with less rank on a leading block, one that agrees, and one with more."""
+    stream = hfg.conditions._primes
+    small = [7, 5, 3, 11, 13, 17, 19, 23]
+    monkeypatch.setattr(
+        hfg.conditions, "_primes", lambda: itertools.chain(small, stream())
+    )
+    used = _primes_used(monkeypatch)
+    moduli = _moduli_certified(monkeypatch)
+    branches = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_low_rank_matrices(st.integers(-4, 4)))
+    def check(matrix):
+        used.clear()
+        moduli.clear()
+        assert pivot_columns(matrix) == _reference_pivot_columns(matrix)
+        branches.update(_branches(used, moduli))
+
+    check()
+    assert branches["skip"] and branches["join"] and branches["restart"], branches
 
 
 def _reference_hilbert(g, d):
@@ -422,7 +475,7 @@ def test_explicit_grids_need_a_common_denominator():
 
 
 def test_matrix_budget_is_checked_before_any_row_is_built(monkeypatch):
-    def no_rows(point, m, top, scale):
+    def no_rows(u, v, m, top):
         raise AssertionError("condition rows built before the budget check")
 
     monkeypatch.setattr(hfg.verify, "point_conditions", no_rows)

@@ -255,23 +255,6 @@ def symbolic_multiplicities(
     )
 
 
-def symbolic_grid(g: FatGrid, t: int) -> FatGrid:
-    """Grid of the t-th symbolic power: g with every multiplicity m_ij
-    scaled to t*m_ij.
-
-    Nothing is rebuilt: the points, lines and ``swapped`` flag are g's own,
-    and the increasing maps of ``symbolic_multiplicities`` keep both
-    weighted sets in their sorted order.  ``mult`` follows from the scaled
-    sets: (t*m_i - (t-1)) + t*n_j - 1 = t*(m_i + n_j - 1).
-    """
-    new_m, new_n = symbolic_multiplicities(g, t)
-    return replace(
-        g,
-        row_set=replace(g.row_set, multiplicities=tuple(new_m)),
-        col_set=replace(g.col_set, multiplicities=tuple(new_n)),
-    )
-
-
 def rotate_coordinates(g: FatGrid) -> FatGrid:
     """The same grid in the coordinates (x1, x2, x0).
 

@@ -38,7 +38,7 @@ from .groebner import (
     _top,
     _width,
 )
-from .poly import PLANE, Polynomial, VariableBlock, monomials_of_degree
+from .poly import PLANE, Exponents, Polynomial, VariableBlock, monomials_of_degree
 
 
 class IdealPresentation:
@@ -110,6 +110,12 @@ class IdealPresentation:
         if self._basis is None:
             self._basis = _monic(self._reduced_rows(), self.block)
         return self._basis
+
+    def leading_exponents(self) -> list[Exponents]:
+        """The exponents of the reduced grevlex basis's leading monomials,
+        read off the packed rows; the engine's fields past the block are 0."""
+        pk, rows = self._reduced_rows()
+        return [pk.unpack(max(row))[: self.block.arity] for row in rows]
 
     @property
     def is_zero(self) -> bool:

@@ -6,7 +6,12 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from hfg.budget import DEFAULT_BUDGET
-from hfg.fatgrid import abstract_grid
+from hfg.fatgrid import (
+    WeightedPointSet,
+    abstract_grid,
+    build_grid,
+    symbolic_multiplicities,
+)
 
 EXAMPLE_M = (2, 3, 3)
 EXAMPLE_N = (2, 3, 4, 4)
@@ -25,6 +30,16 @@ def small_grid_profiles():
         for b in (1, 2, 3):
             profiles.add(((a,), (b,)))
     return sorted(profiles)
+
+
+def rebuilt_symbolic_grid(g, t):
+    """The t-th symbolic grid, built and validated anew from g's points
+    with the multiplicities of ``symbolic_multiplicities``."""
+    new_m, new_n = symbolic_multiplicities(g, t)
+    return build_grid(
+        WeightedPointSet.make(g.row_set.points, new_m),
+        WeightedPointSet.make(g.col_set.points, new_n),
+    )
 
 
 def is_totally_ordered(tuples) -> bool:

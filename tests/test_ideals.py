@@ -31,6 +31,7 @@ from hfg.polycore import (
 )
 from hfg.polycore import groebner
 from hfg.polycore.groebner import _reduced_basis
+from hfg.polycore.poly import _grevlex_key
 from hfg.projective import Point, hadamard_point, point_ideal
 
 X0, X1, X2 = variables(PLANE)
@@ -66,6 +67,22 @@ def test_first_power_is_the_ideal_itself_with_its_cached_basis():
     basis = m.groebner_basis()
     assert ideal_power(m, 1) is m
     assert ideal_power(m, 1).groebner_basis() is basis
+
+
+def test_leading_exponents_are_the_basis_leading_monomials():
+    """Read packed, on an ideal given by polynomials, a power, and engine
+    results whose packing has variables past the block."""
+    a = ideal("x0^2 - x1*x2", "x1^2 + x0*x2")
+    b = point_ideal(Point((1, 2, 3)))
+    for i in (
+        a,
+        ideal_power(a, 2),
+        ideal_intersection(a, b),
+        hadamard_ideals(b, point_ideal(Point((2, 1, 1)))),
+    ):
+        assert i.leading_exponents() == [
+            max(g.terms, key=_grevlex_key) for g in i.groebner_basis()
+        ]
 
 
 def test_ideal_intersection():

@@ -19,11 +19,7 @@ import hfg.invariants
 import hfg.verify
 from hfg.budget import DEFAULT_BUDGET
 from hfg.errors import DomainError, GridError
-from hfg.fatgrid import (
-    abstract_grid,
-    grid_ideal_intersection,
-    symbolic_grid,
-)
+from hfg.fatgrid import abstract_grid, grid_ideal_intersection
 from hfg.invariants import (
     AlphaTuple,
     alpha_degree,
@@ -42,7 +38,7 @@ from hfg.invariants import (
 from hfg.polycore import ideal_equal
 from hfg.verify import check_grid_end_to_end, grid_elimination_unit, pattern_ideal
 
-from conftest import is_totally_ordered
+from conftest import is_totally_ordered, rebuilt_symbolic_grid
 
 EXAMPLE_ALPHA = (21, 21, 17, 17, 17, 13, 13, 13, 9, 9, 9, 5, 5, 5, 2, 2, 2)
 EXAMPLE_V = {(2, 21), (5, 17), (8, 13), (11, 9), (14, 5), (17, 2)}
@@ -172,7 +168,7 @@ def test_waldschmidt_values(example_grid):
 def test_alpha_scales_under_symbolic_powers(example_grid):
     base = alpha_degree(example_grid)
     for t in range(1, 6):
-        assert alpha_degree(symbolic_grid(example_grid, t)) == t * base
+        assert alpha_degree(rebuilt_symbolic_grid(example_grid, t)) == t * base
 
 
 def test_hilbert_from_resolution_single_point():
@@ -287,30 +283,27 @@ def test_invariants_report_serialization(example_grid):
     assert report["resurgence"] == 1
 
 
-def test_resurgence_certificate_above_the_grid_cap_builds_no_symbolic_grid(
-    monkeypatch,
-):
-    built = []
-    build = hfg.verify.symbolic_grid
+def test_power_above_the_degree_cap_builds_no_power(monkeypatch):
+    """The grid cap no longer bounds a power: under a grid cap of 12 the
+    (1,2|1,2) oracle (total multiplicity 8, top degree 5) computes t = 2,
+    and the degree cap skips t = 3 before ``ideal_power`` runs."""
+    powers = []
+    build = hfg.verify.ideal_power
 
-    def counted(g, t):
-        built.append(t)
-        return build(g, t)
+    def counted(ideal, t):
+        powers.append(t)
+        return build(ideal, t)
 
-    monkeypatch.setattr(hfg.verify, "symbolic_grid", counted)
-    g = abstract_grid((1, 2), (1, 2))  # total multiplicity 8
+    monkeypatch.setattr(hfg.verify, "ideal_power", counted)
+    g = abstract_grid((1, 2), (1, 2))
     budget = dataclasses.replace(DEFAULT_BUDGET, max_grid_multiplicity=12)
-    assert resurgence_certificate(g).passed
     instances = grid_elimination_unit(g, 3, budget)
     oracle = [inst for inst in instances if "elimination oracle" in inst.label]
-    assert [inst.status for inst in oracle] == ["skipped", "skipped"]
-    # t=2 and t=3 exceed the grid cap
-    assert [inst.flag for inst in oracle] == [
-        "skipped: grid total multiplicity %d exceeds budget 12;"
-        " raise it with --budget-degree" % (t * 8)
-        for t in (2, 3)
-    ]
-    assert built == []
+    assert [inst.status for inst in oracle] == ["pass", "skipped"]
+    assert oracle[1].flag == (
+        "skipped: Groebner input of total degree 15 exceeds budget 12"
+    )
+    assert powers == [2]
 
 
 def test_invariants_report_runs_no_oracle(monkeypatch):
@@ -318,7 +311,7 @@ def test_invariants_report_runs_no_oracle(monkeypatch):
         raise AssertionError("oracle work in the closed-form report")
 
     for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "hfg"]:
-        for name in ("grid_ideal_intersection", "ideal_power", "symbolic_grid"):
+        for name in ("grid_ideal_intersection", "ideal_power"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     report = invariants_report(abstract_grid((1, 2), (1, 2)), t_max=2)

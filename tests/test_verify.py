@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -23,8 +24,6 @@ from hfg.fatgrid import (
     grid_from_json,
     grid_ideal_intersection,
     rotate_coordinates,
-    symbolic_grid,
-    symbolic_multiplicities,
 )
 from hfg.invariants import generator_patterns, resolution
 from hfg.polycore import (
@@ -32,6 +31,7 @@ from hfg.polycore import (
     Polynomial,
     VariableBlock,
     ideal_equal,
+    ideal_intersection,
     ideal_power,
     monomials_of_degree,
     variables,
@@ -53,9 +53,14 @@ from hfg.verify import (
     vanishing_order,
 )
 
-from conftest import small_grid_profiles
+from conftest import rebuilt_symbolic_grid, small_grid_profiles
 
 X0, X1, X2 = variables(PLANE)
+
+POWER_LABEL = (
+    "t=%d: ordinary power equals symbolic power (elimination oracle: I^t is"
+    " saturated, no leading monomial of its reduced basis has x0)"
+)
 
 
 def test_vanishing_order_basics():
@@ -530,8 +535,9 @@ def test_resurgence_skip_builds_no_ideal_power(monkeypatch):
 
 
 def _elimination_unit_in_original_coordinates(g, t_max, budget):
-    """The elimination unit with every ideal built on g and its symbolic
-    grids as they are, with x2 as the engine's last variable."""
+    """The elimination unit with every ideal built on g as it is, so that
+    x2 is the engine's last variable and the saturation is read on x2;
+    grid points have x2 != 0 as well."""
     oracle = grid_ideal_intersection(g, budget)
     instances = [
         verdict(
@@ -540,14 +546,12 @@ def _elimination_unit_in_original_coordinates(g, t_max, budget):
         )
     ]
     for t in range(2, t_max + 1):
-        label = "t=%d: ordinary power equals symbolic power (elimination oracle)" % t
         try:
-            budget.check_grid(t * g.total_multiplicity)
             budget.check_groebner(t * oracle.max_generator_degree())
-            sym = grid_ideal_intersection(symbolic_grid(g, t), budget)
-            instances.append(verdict(label, ideal_equal(ideal_power(oracle, t), sym)))
+            leads = ideal_power(oracle, t).leading_exponents()
+            instances.append(verdict(POWER_LABEL % t, not any(e[2] for e in leads)))
         except BudgetExceededError as exc:
-            instances.append(skipped(label, "equal", exc))
+            instances.append(skipped(POWER_LABEL % t, "equal", exc))
     return instances
 
 
@@ -611,7 +615,7 @@ def test_grid_report_concatenates_the_units_by_route():
     assert [inst.label for inst in report.instances] == [
         "every expanded pattern vanishes to full multiplicity at every grid point",
         "pattern ideal equals the intersection oracle",
-        "t=2: ordinary power equals symbolic power (elimination oracle)",
+        POWER_LABEL % 2,
     ] + [
         "resolution Hilbert function matches the rank oracle at degree %d" % d
         for d in range(6)
@@ -643,30 +647,102 @@ def test_no_report_compares_the_t1_oracle_with_itself(small_family):
             label.startswith("t=1:") or label == "pattern count equals m_r + n_s"
             for label in labels
         ), (g.row_multiplicities, g.col_multiplicities)
-        assert (
-            "t=2: ordinary power equals symbolic power (elimination oracle)"
-            in labels
-        )
-
-
-def _rebuilt_symbolic_grid(g, t):
-    """The t-th symbolic grid built and validated anew from g's points."""
-    new_m, new_n = symbolic_multiplicities(g, t)
-    return build_grid(
-        WeightedPointSet.make(g.row_set.points, new_m),
-        WeightedPointSet.make(g.col_set.points, new_n),
-    )
+        assert POWER_LABEL % 2 in labels
 
 
 @pytest.mark.parametrize("grid", SMALL_AND_SEEDED_GRIDS, ids=SMALL_AND_SEEDED_IDS)
 def test_symbolic_grid_equals_the_rebuilt_grid(grid):
+    """The t-th symbolic grid is g with every multiplicity m_ij scaled to
+    t*m_ij; rebuilt from the multiplicity vectors of
+    ``symbolic_multiplicities``, it keeps g's grid points and lines."""
     for t in (1, 2, 3):
-        scaled = symbolic_grid(grid, t)
-        assert scaled == _rebuilt_symbolic_grid(grid, t)
-        assert scaled.swapped == grid.swapped
-        assert symbolic_grid(rotate_coordinates(grid), t) == rotate_coordinates(
-            scaled
+        rebuilt = rebuilt_symbolic_grid(grid, t)
+        assert rebuilt.mult == tuple(tuple(t * m for m in row) for row in grid.mult)
+        assert rebuilt.grid_points == grid.grid_points
+        assert (rebuilt.h_lines, rebuilt.v_lines) == (grid.h_lines, grid.v_lines)
+
+
+def _fat_points(points):
+    """The intersection of the powers I(P)^m over (P, m) in order."""
+    return functools.reduce(
+        ideal_intersection,
+        [ideal_power(point_ideal(Point(p)), m) for p, m in points],
+    )
+
+
+# point schemes with x2 != 0 at every point, and whether I^t = I^(t)
+SATURATION_CASES = {
+    "three-non-collinear": ([((1, 2, 1), 1), ((3, 1, 1), 1), ((2, 5, 1), 1)], False),
+    "2x2-one-point-doubled": (
+        [((1, 1, 1), 1), ((1, 2, 1), 1), ((2, 1, 1), 1), ((2, 2, 1), 2)],
+        False,
+    ),
+    "three-collinear": ([((1, 1, 1), 1), ((2, 2, 1), 1), ((3, 3, 1), 1)], True),
+    "2x2": ([((1, 1, 1), 1), ((1, 2, 1), 1), ((2, 1, 1), 1), ((2, 2, 1), 1)], True),
+}
+
+
+@pytest.mark.parametrize("case", list(SATURATION_CASES))
+def test_leading_terms_see_whether_a_power_is_saturated(case):
+    """I^t is saturated (no leading monomial has x2) exactly when it equals
+    the intersection of the I(P)^(t*m), at t = 2 and t = 3."""
+    points, expected = SATURATION_CASES[case]
+    ideal = _fat_points(points)
+    for t in (2, 3):
+        symbolic = _fat_points([(p, t * m) for p, m in points])
+        leads = ideal_power(ideal, t).leading_exponents()
+        assert (not any(e[2] for e in leads)) is expected, t
+        assert ideal_equal(ideal_power(ideal, t), symbolic) is expected, t
+
+
+def test_power_instance_fails_on_an_unsaturated_oracle(monkeypatch):
+    """Patched to three non-collinear points (x0, the rotated grid's last
+    coordinate, nonzero), the unit's oracle has I^2 and I^3 unsaturated."""
+    points = [((1, 2, 1), 1), ((3, 1, 1), 1), ((2, 5, 1), 1)]
+    monkeypatch.setattr(
+        hfg.verify, "grid_ideal_intersection", lambda g, budget: _fat_points(points)
+    )
+    instances = grid_elimination_unit(abstract_grid((1, 2), (1, 2)), 3, DEFAULT_BUDGET)
+    assert [(inst.label, inst.status, inst.computed) for inst in instances[1:]] == [
+        (POWER_LABEL % t, "fail", "different") for t in (2, 3)
+    ]
+
+
+@pytest.mark.parametrize("t_max", [1, 2, 3])
+def test_elimination_unit_builds_one_oracle_at_every_depth(t_max, monkeypatch):
+    calls = []
+    build = hfg.verify.grid_ideal_intersection
+
+    def counted(g, budget):
+        calls.append(g.total_multiplicity)
+        return build(g, budget)
+
+    monkeypatch.setattr(hfg.verify, "grid_ideal_intersection", counted)
+    budget = dataclasses.replace(
+        DEFAULT_BUDGET, max_grid_multiplicity=64, max_groebner_degree=64
+    )
+    instances = grid_elimination_unit(abstract_grid((1, 2), (1, 2)), t_max, budget)
+    assert calls == [8]
+    assert [inst.status for inst in instances] == ["pass"] * t_max
+
+
+def test_the_scan_agrees_with_the_symbolic_grid_oracle_at_t2():
+    """On every abstract profile with r, s <= 2 and multiplicities <= 2, the
+    power instance's verdict is the equality of I^2 with the oracle of the
+    symbolic grid, built anew."""
+    budget = dataclasses.replace(DEFAULT_BUDGET, max_grid_multiplicity=64)
+    for m, n in small_grid_profiles():
+        if max(m + n) > 2:
+            continue
+        g = abstract_grid(m, n)
+        rotated = rotate_coordinates(g)
+        oracle = grid_ideal_intersection(rotated, budget)
+        symbolic = grid_ideal_intersection(
+            rotate_coordinates(rebuilt_symbolic_grid(g, 2)), budget
         )
+        power = grid_elimination_unit(g, 2, budget)[1]
+        assert power.label == POWER_LABEL % 2
+        assert power.passed is ideal_equal(ideal_power(oracle, 2), symbolic), (m, n)
 
 
 def test_pattern_ideal_instance_fails_without_one_pattern(monkeypatch):

@@ -10,26 +10,33 @@ from __future__ import annotations
 import math
 
 
-def point_conditions(u: int, v: int, m: int, top: int):
+def point_conditions(u: int, v: int, m: int, columns):
     """The rows of a fat point of multiplicity m at the integer chart point
     (u, v), one per derivative of order o1 + o2 < m (Macaulay's inverse
     system; Emsalem and Iarrobino 1995), lazily and by increasing order.
-    Row (o1, o2) holds (a)_o1 (b)_o2 u^(a-o1) v^(b-o2), the derivative of
-    x^a y^b at (u, v), at the chart column x^a y^b, index
-    C(a+b+1, 2) + b, for a + b <= top.
+    ``columns`` lists the monomials x^a y^b as exponent pairs (a, b); row
+    (o1, o2) holds at each of them (a)_o1 (b)_o2 u^(a-o1) v^(b-o2), the
+    derivative of x^a y^b at (u, v).  Each axis's derivative table is built
+    once per order, when the rows first reach that order.
     """
+    top_a = max(a for a, _ in columns)
+    top_b = max(b for _, b in columns)
 
-    def falling(base: int, order: int) -> list[int]:
+    def falling(base: int, order: int, top: int) -> list[int]:
         # the order-th derivative of x^a at x = base, for a = 0..top
         return [
             math.perm(a, order) * base ** (a - order) if a >= order else 0
             for a in range(top + 1)
         ]
 
+    xs: list[list[int]] = []
+    ys: list[list[int]] = []
     for order in range(m):
+        xs.append(falling(u, order, top_a))
+        ys.append(falling(v, order, top_b))
         for o1 in range(order, -1, -1):
-            x, y = falling(u, o1), falling(v, order - o1)
-            yield [x[a] * y[e - a] for e in range(top + 1) for a in range(e, -1, -1)]
+            x, y = xs[o1], ys[order - o1]
+            yield [x[a] * y[b] for a, b in columns]
 
 
 # Miller-Rabin with these bases is exact for every n < 3.3 * 10**24
@@ -80,26 +87,57 @@ def _unpack(value: int, count: int, size: int) -> list[int]:
     ]
 
 
+def _slot_reducer(p: int, count: int, size: int):
+    """A map that reduces every slot of an int of ``count`` slots of
+    ``size`` bytes below 2**k, k = p.bit_length(), keeping it congruent
+    mod p, in a few big-int operations.
+
+    With c = 2**k - p, 2**k = c mod p, so a slot hi*2**k + lo may become
+    c*hi + lo, which is no larger and never carries into the next slot.
+    The masks of the low k bits and the rest of every slot are built
+    once; a round applies the step to all slots at once, until no slot
+    has bits at or above k.  For p just below 2**62 this takes three or
+    four rounds.
+    """
+    k = p.bit_length()
+    c = (1 << k) - p
+    ones = (1 << k) - 1
+    low = _pack([ones] * count, size)
+    high = _pack([(1 << 8 * size) - 1 - ones] * count, size)
+
+    def reduce(value: int) -> int:
+        while value & high:
+            value = (value & low) + c * ((value & high) >> k)
+        return value
+
+    return reduce
+
+
 def _echelon_mod(matrix, p: int):
     """Forward elimination mod p over every column.
 
     Each row is one int with one slot per column, column 0 in the most
     significant slot, so a row update is one multiply-add and a row cleared
     through column c fits in the slots after c.  An entry is reduced mod p
-    only when it is read.  A pivot row is reduced and scaled to a leading 1
-    when it is found, so an update adds less than p**2 to a slot.  A row
-    takes at most one update per pivot, and the slot width leaves room for
-    all of them; the back substitution in ``_kernel_mod`` stays within the
-    same bound.
+    only when it is read.  A pivot row, when found, is reduced by
+    ``_slot_reducer``, multiplied by the inverse of its leading entry and
+    reduced again, so its slots after the pivot column are below
+    2**k <= 2p, k = p.bit_length(), and an update adds less than p * 2**k
+    to a slot.  A row starts with entries below p and takes at most one
+    update per pivot, so every slot stays below
+    p + min(rows, width) * p * 2**k, the width the slots are given (17
+    bytes at p near 2**62 for up to 2000 rows); the back substitution in
+    ``_kernel_mod`` stays within the same bound.
 
     Returns the pivot columns, each pivot row's slots after its pivot
     column, and the slot size in bytes.
     """
     width = len(matrix[0])
-    bound = p + min(len(matrix), width) * (p - 1) ** 2
+    bound = p + (min(len(matrix), width) * p << p.bit_length())
     size = (bound.bit_length() + 7) // 8
     bits = 8 * size
     slot = (1 << bits) - 1
+    reduce = _slot_reducer(p, width, size)
     active = [_pack([x % p for x in row], size) for row in matrix]
     pivots: list[int] = []
     tails: list[int] = []
@@ -113,10 +151,7 @@ def _echelon_mod(matrix, p: int):
         if lead is None:
             continue
         inverse = pow(entries[lead], -1, p)
-        count = width - 1 - col
-        tail = _pack(
-            [x * inverse % p for x in _unpack(active[lead] & low, count, size)], size
-        )
+        tail = reduce(reduce(active[lead] & low) * inverse)
         del active[lead], entries[lead]
         active = [
             (row & low) + (p - e) * tail if e else row
@@ -130,29 +165,34 @@ def _echelon_mod(matrix, p: int):
 def _kernel_mod(pivots, tails, size: int, width: int, needed, p: int):
     """For each column j in ``needed`` (non-pivot columns, increasing), the
     kernel vector mod p with a 1 at j and its other entries on the pivot
-    columns before j, listed in pivot order.
+    columns before j, listed in pivot order, each entry in [0, p).
 
     Back substitution for all needed columns at once: the entries of every
     vector on one pivot column are packed into one int, one slot per
     vector.  Pivot row r gives them as minus its entry in column j, minus
-    its multiples of the entries on the later pivot columns.
+    its multiples of the entries on the later pivot columns; each solved
+    int is reduced by ``_slot_reducer``, so its slots are below 2**k and a
+    sum of at most min(rows, width) products with entries below p stays
+    within the slot bound of ``_echelon_mod``.
     """
     limit = needed[-1] + 1
     cols = [c for c in pivots if c < limit]
     shift = (width - limit) * 8 * size
+    reduce = _slot_reducer(p, len(needed), size)
     solved = [0] * len(cols)
     for r in range(len(cols) - 1, -1, -1):
         c = cols[r]
         # minus the pivot row's entries on columns c+1 .. limit-1
         minus = [-x % p for x in _unpack(tails[r] >> shift, limit - 1 - c, size)]
-        packed = sum(
-            (minus[cols[k] - c - 1] * solved[k] for k in range(r + 1, len(cols))),
-            _pack([minus[j - c - 1] if j > c else 0 for j in needed], size),
+        solved[r] = reduce(
+            sum(
+                (minus[cols[k] - c - 1] * solved[k] for k in range(r + 1, len(cols))),
+                _pack([minus[j - c - 1] if j > c else 0 for j in needed], size),
+            )
         )
-        solved[r] = _pack([x % p for x in _unpack(packed, len(needed), size)], size)
     entries = [_unpack(x, len(needed), size) for x in solved]
     return [
-        [column[t] for c, column in zip(cols, entries) if c < j]
+        [column[t] % p for c, column in zip(cols, entries) if c < j]
         for t, j in enumerate(needed)
     ]
 

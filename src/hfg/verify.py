@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .budget import Budget, DEFAULT_BUDGET
@@ -53,39 +54,51 @@ from .projective import (
 from .report import CheckInstance, VerificationReport, skipped, verdict
 
 
-def vanishing_order(f: Polynomial, p) -> int | float:
-    """Order of vanishing of a homogeneous plane form at a projective point:
-    the first derivative order whose ``point_conditions`` row it fails, in
-    the chart of the point's last nonzero coordinate c.  The rows
-    differentiate at the other two primitive integer coordinates, so each
-    term (denominators cleared) is weighted by c to its exponent on c's
-    variable, which by homogeneity scales the chart by c.  Zero gets
+def _vanishing_orders(f: Polynomial, points) -> list:
+    """Order of vanishing of a homogeneous plane form at each projective
+    point: the first derivative order whose ``point_conditions`` row it
+    fails, in the chart of the point's last nonzero coordinate c.  The rows
+    are built at the form's own monomials only, and differentiate at the
+    other two primitive integer coordinates, so each term (denominators
+    cleared, read once for all points) is weighted by c to its exponent on
+    c's variable, which by homogeneity scales the chart by c.  Zero gets
     +infinity.
     """
     if f.is_zero:
-        return math.inf
+        return [math.inf for _ in points]
     if not f.is_homogeneous():
         raise DomainError("vanishing order wants a homogeneous polynomial")
-    coords = [Fraction(c) for c in p]
-    if f.block.arity != 3 or len(coords) != 3:
+    if f.block.arity != 3:
         raise DomainError("vanishing order wants a form and a point of the plane")
-    if all(c == 0 for c in coords):
-        raise DomainError("not a projective point: all coordinates are zero")
-    pivot = max(i for i, c in enumerate(coords) if c)
-    i, j = (k for k in range(3) if k != pivot)
-    ints = primitive_coords(coords)
-    scale = ints[pivot]
-    weights = [
-        (math.comb(exps[i] + exps[j] + 1, 2) + exps[j], num * scale ** exps[pivot])
-        for exps, num in f.integer_terms()[1]
-    ]
+    terms = f.integer_terms()[1]
     top = f.total_degree()
-    rows = point_conditions(ints[i], ints[j], top + 1, top)
-    # a nonzero form of degree top fails some row of order <= top
-    for order in range(top + 1):
-        block = itertools.islice(rows, order + 1)
-        if any(sum(row[k] * w for k, w in weights) for row in block):
-            return order
+
+    def order_at(p) -> int:
+        coords = [Fraction(c) for c in p]
+        if len(coords) != 3:
+            raise DomainError("vanishing order wants a form and a point of the plane")
+        if all(c == 0 for c in coords):
+            raise DomainError("not a projective point: all coordinates are zero")
+        pivot = max(i for i, c in enumerate(coords) if c)
+        i, j = (k for k in range(3) if k != pivot)
+        ints = primitive_coords(coords)
+        scale = ints[pivot]
+        columns = [(exps[i], exps[j]) for exps, _ in terms]
+        weights = [num * scale ** exps[pivot] for exps, num in terms]
+        rows = point_conditions(ints[i], ints[j], top + 1, columns)
+        # a nonzero form of degree top fails some row of order <= top
+        for order in range(top + 1):
+            block = itertools.islice(rows, order + 1)
+            if any(sum(map(operator.mul, row, weights)) for row in block):
+                return order
+
+    return [order_at(p) for p in points]
+
+
+def vanishing_order(f: Polynomial, p) -> int | float:
+    """Order of vanishing of a homogeneous plane form at a projective point,
+    +infinity for zero: ``_vanishing_orders`` at the one point."""
+    return _vanishing_orders(f, [p])[0]
 
 
 def exact_rank(matrix, budget: Budget = DEFAULT_BUDGET) -> int:
@@ -133,10 +146,12 @@ def hilbert_series_oracle(
         step = math.gcd(*(c - lo for c in axis)) or 1
         mid = lo + step * ((max(axis) - lo) // step // 2)
         axis[:] = [(c - mid) // step for c in axis]
+    # the graded chart columns: x^a y^b at index C(a+b+1, 2) + b
+    columns = [(a, e - a) for e in range(top + 1) for a in range(e, -1, -1)]
     matrix = [
         row
         for (i, j), u, v in zip(cells, *axes)
-        for row in point_conditions(u, v, g.mult[i][j], top)
+        for row in point_conditions(u, v, g.mult[i][j], columns)
     ]
     pivots = pivot_columns(matrix)
     return [
@@ -421,22 +436,23 @@ def check_join_symbolic(
 
 
 def grid_structure_unit(g: FatGrid) -> list[CheckInstance]:
-    """The vanishing order of every expanded pattern at every grid point;
-    a failure names how many (pattern, point) pairs fail and the first one
-    in pattern, row, column order."""
+    """The vanishing order of every expanded pattern at every grid point,
+    each pattern's integer terms read once for all points and its rows
+    built at its own monomials; a failure names how many (pattern, point)
+    pairs fail and the first one in pattern, row, column order."""
     r, s = g.shape
+    cells = [(i, j) for i in range(r) for j in range(s)]
+    points = [g.grid_points[i][j] for i, j in cells]
     patterns = generator_patterns(g)
     failures = []
     for pat in patterns:
-        poly = expand_pattern(g, pat)
-        for i in range(r):
-            for j in range(s):
-                order = vanishing_order(poly, g.grid_points[i][j])
-                if order < g.mult[i][j]:
-                    failures.append(
-                        "pattern k=%d at point (%d,%d): order %s < %d"
-                        % (pat.k, i, j, order, g.mult[i][j])
-                    )
+        orders = _vanishing_orders(expand_pattern(g, pat), points)
+        for (i, j), order in zip(cells, orders):
+            if order < g.mult[i][j]:
+                failures.append(
+                    "pattern k=%d at point (%d,%d): order %s < %d"
+                    % (pat.k, i, j, order, g.mult[i][j])
+                )
     computed = "all orders sufficient"
     if failures:
         computed = "%d of %d (pattern, point) pairs fail; first %s" % (

@@ -223,7 +223,9 @@ def test_verify_failure_sets_exit_code_one(runner, monkeypatch):
 
 
 def test_verify_prints_a_failing_vanishing_order(runner, monkeypatch):
-    monkeypatch.setattr(hfg.verify, "vanishing_order", lambda f, p: 0)
+    monkeypatch.setattr(
+        hfg.verify, "_vanishing_orders", lambda f, points: [0] * len(points)
+    )
     result = runner.invoke(cli.main, ["verify", "--m", "1", "--n", "1"])
     assert result.exit_code == 1
     # (1|1) has the patterns k=0 and k=1; both fail and the first is named

@@ -887,20 +887,23 @@ def test_structure_unit_counts_failures_and_names_the_first(monkeypatch):
     g = abstract_grid((1, 2), (1, 2))
     patterns = generator_patterns(g)
     last = expand_pattern(g, patterns[-1])
-    order = hfg.verify.vanishing_order
+    orders = hfg.verify._vanishing_orders
 
-    def one_short(f, p):
+    def one_short(f, points):
         # only the last pattern at point (1,1) falls short
-        return 0 if f == last and p == g.grid_points[1][1] else order(f, p)
+        return [
+            0 if f == last and p == g.grid_points[1][1] else order
+            for p, order in zip(points, orders(f, points))
+        ]
 
-    monkeypatch.setattr(hfg.verify, "vanishing_order", one_short)
+    monkeypatch.setattr(hfg.verify, "_vanishing_orders", one_short)
     [inst] = grid_structure_unit(g)
     assert inst.passed is False
     assert inst.computed == (
         "1 of %d (pattern, point) pairs fail; first pattern k=%d at point"
         " (1,1): order 0 < %d" % (4 * len(patterns), patterns[-1].k, g.mult[1][1])
     )
-    monkeypatch.setattr(hfg.verify, "vanishing_order", order)
+    monkeypatch.setattr(hfg.verify, "_vanishing_orders", orders)
     [inst] = grid_structure_unit(g)
     assert (inst.passed, inst.computed) == (True, "all orders sufficient")
 
@@ -994,3 +997,47 @@ def test_integer_vanishing_order_on_every_pattern_and_grid_point():
                 assert vanishing_order(f, point) == _reference_vanishing_order(
                     f, point
                 )
+
+
+_COORD = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+@st.composite
+def _forms_and_points(draw):
+    """A sparse or dense plane form of degree <= 6 times lines through the
+    first of one to three points, each with 0, 1 or 2 zero coordinates."""
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = [draw(_COORD) for _ in range(3)]
+        for i in draw(st.sets(st.integers(0, 2), max_size=2)):
+            p[i] = Fraction(0)
+        points.append(p)
+    lines = draw(st.integers(0, 6))
+    degree = draw(st.integers(0, 6 - lines))
+    monomials = list(monomials_of_degree(PLANE, degree))
+    if draw(st.booleans()):
+        support = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3))
+    else:
+        support = monomials
+    f = Polynomial(PLANE, {e: draw(_COORD) for e in support})
+    p = points[0]
+    for _ in range(lines):
+        v = [draw(st.integers(-3, 3)) for _ in range(3)]
+        line = (
+            p[1] * v[2] - p[2] * v[1],
+            p[2] * v[0] - p[0] * v[2],
+            p[0] * v[1] - p[1] * v[0],
+        )
+        f = f * (line[0] * X0 + line[1] * X1 + line[2] * X2)
+    return f, [Point(tuple(q)) for q in points]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_forms_and_points())
+def test_vanishing_orders_match_the_fraction_taylor_shift(form_and_points):
+    f, points = form_and_points
+    expected = [
+        math.inf if f.is_zero else _reference_vanishing_order(f, q) for q in points
+    ]
+    assert hfg.verify._vanishing_orders(f, points) == expected
+    assert vanishing_order(f, points[0]) == expected[0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 
 import click
@@ -290,14 +291,80 @@ def invariants_command(m, n, grid_path, output_format) -> None:
 
 
 def _run_verify_jobs(jobs, worker_count: int) -> list:
-    if worker_count <= 1:
-        return [fn(*args) for fn, args in jobs]
-    # imported here so that a serial run never loads the pool's modules
-    from concurrent.futures import ProcessPoolExecutor
+    """Run the plan's (unit, args) jobs and return their results in plan order.
 
-    with ProcessPoolExecutor(max_workers=min(worker_count, len(jobs))) as pool:
-        futures = [pool.submit(fn, *args) for fn, args in jobs]
-        return [f.result() for f in futures]
+    With more than one worker, this process forks ``workers - 1`` children
+    and runs job 0, the longest, itself; jobs 1.. go round robin to the
+    children.  A child inherits the grid and pickles back only its results.
+    Every child is reaped before this returns or raises, and the exception
+    raised is that of the first job in plan order that raised, as in a
+    serial run.
+    """
+    workers = min(worker_count, len(jobs))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(*args) for fn, args in jobs]
+    # imported here so that importing the CLI loads no pickle
+    import pickle
+
+    shares = [list(range(k, len(jobs), workers - 1)) for k in range(1, workers)]
+    children = []
+    try:
+        for share in shares:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_share(jobs, share, read_end, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        fn, args = jobs[0]
+        results = {0: fn(*args)}
+    finally:
+        replies = []
+        for pid, read_end in children:
+            # read to EOF first: a payload can exceed the pipe's buffer
+            with os.fdopen(read_end, "rb") as pipe:
+                data = pipe.read()
+            replies.append((data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    errors = {}
+    for share, (data, status) in zip(shares, replies):
+        if status != 0 or not data:
+            errors[share[0]] = RuntimeError(
+                "verify worker for %s ended with status %d and sent no results"
+                % (", ".join(jobs[j][0].__name__ for j in share), status)
+            )
+            continue
+        values, error = pickle.loads(data)
+        results.update(zip(share, values))
+        if error is not None:
+            errors[share[len(values)]] = error
+    if errors:
+        raise errors[min(errors)]
+    return [results[j] for j in range(len(jobs))]
+
+
+def _run_share(jobs, share: list[int], read_end: int, write_end: int) -> None:
+    """In a forked child: run the jobs of `share` in plan order up to the
+    first exception, write the pickled (results, exception) to the pipe and
+    end the process, never returning into the caller.  A payload that does
+    not pickle is not written, and the child exits 1."""
+    status = 1
+    try:
+        import pickle
+
+        os.close(read_end)
+        values, error = [], None
+        try:
+            for j in share:
+                fn, args = jobs[j]
+                values.append(fn(*args))
+        except BaseException as exc:
+            error = exc
+        payload = pickle.dumps((values, error), pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @main.command("verify")
@@ -318,7 +385,10 @@ def _run_verify_jobs(jobs, worker_count: int) -> list:
     type=int,
     default=1,
     show_default=True,
-    help="Worker processes for independent checks.",
+    help=(
+        "Processes that run the independent checks, this one included;"
+        " the others are forked."
+    ),
 )
 @click.option(
     "--budget-degree",

@@ -54,6 +54,16 @@ from .projective import (
 from .report import CheckInstance, VerificationReport, skipped, verdict
 
 
+def _plane_point(p) -> list[Fraction]:
+    """The coordinates of a projective point of the plane, as Fractions."""
+    coords = [Fraction(c) for c in p]
+    if len(coords) != 3:
+        raise DomainError("vanishing order wants a form and a point of the plane")
+    if all(c == 0 for c in coords):
+        raise DomainError("not a projective point: all coordinates are zero")
+    return coords
+
+
 def _vanishing_orders(f: Polynomial, points) -> list:
     """Order of vanishing of a homogeneous plane form at each projective
     point: the first derivative order whose ``point_conditions`` row it
@@ -61,11 +71,12 @@ def _vanishing_orders(f: Polynomial, points) -> list:
     are built at the form's own monomials only, and differentiate at the
     other two primitive integer coordinates, so each term (denominators
     cleared, read once for all points) is weighted by c to its exponent on
-    c's variable, which by homogeneity scales the chart by c.  Zero gets
-    +infinity.
+    c's variable, which by homogeneity scales the chart by c.  Each point
+    is checked first; at a valid point, zero gets +infinity.
     """
+    charts = [_plane_point(p) for p in points]
     if f.is_zero:
-        return [math.inf for _ in points]
+        return [math.inf for _ in charts]
     if not f.is_homogeneous():
         raise DomainError("vanishing order wants a homogeneous polynomial")
     if f.block.arity != 3:
@@ -73,12 +84,7 @@ def _vanishing_orders(f: Polynomial, points) -> list:
     terms = f.integer_terms()[1]
     top = f.total_degree()
 
-    def order_at(p) -> int:
-        coords = [Fraction(c) for c in p]
-        if len(coords) != 3:
-            raise DomainError("vanishing order wants a form and a point of the plane")
-        if all(c == 0 for c in coords):
-            raise DomainError("not a projective point: all coordinates are zero")
+    def order_at(coords) -> int:
         pivot = max(i for i, c in enumerate(coords) if c)
         i, j = (k for k in range(3) if k != pivot)
         ints = primitive_coords(coords)
@@ -92,7 +98,7 @@ def _vanishing_orders(f: Polynomial, points) -> list:
             if any(sum(map(operator.mul, row, weights)) for row in block):
                 return order
 
-    return [order_at(p) for p in points]
+    return [order_at(coords) for coords in charts]
 
 
 def vanishing_order(f: Polynomial, p) -> int | float:
@@ -565,15 +571,13 @@ def elimination_depth(t_max) -> int:
 
 
 def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
-    """The grid checks as independent (unit, args) jobs, longest first so
-    that a process pool starts them in that order: the rank oracle, the
-    elimination oracle, the structure checks.
+    """The grid checks as independent (unit, args) jobs, longest first, so
+    that the calling process keeps the first when it forks the rest off:
+    the rank oracle, the elimination oracle, the structure checks.
 
     The grid cap, the elimination depth t_max and the rank oracle's matrix
     cap are checked here, before any unit runs.  Every unit takes the built
-    grid itself: a ``FatGrid`` is a frozen dataclass of points, lines and
-    integers, so it pickles whole into a worker process and is never
-    rebuilt there.
+    grid itself, so a forked child inherits it and never rebuilds it.
     """
     budget.check_grid(g.total_multiplicity)
     t_max = elimination_depth(t_max)

@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-import concurrent.futures
 import json
+import os
 import re
-from concurrent.futures import Future
 
 import pytest
 from click.testing import CliRunner
@@ -11,7 +10,7 @@ from click.testing import CliRunner
 import hfg.cli as cli
 import hfg.verify
 from hfg.budget import DEFAULT_BUDGET
-from hfg.errors import ParseError
+from hfg.errors import BudgetExceededError, ParseError
 from hfg.fatgrid import abstract_grid, grid_from_json
 from hfg.polycore import ideal_from_json, ideal_to_json, irrelevant_power
 from hfg.projective import Point, point_ideal
@@ -184,32 +183,78 @@ def test_verify_output_is_identical_across_job_counts(runner, tmp_path):
 
 
 def test_verify_starts_no_more_workers_than_jobs(runner, monkeypatch):
-    workers = []
+    forks = []
+    real_fork = os.fork
 
-    class InlinePool:
-        """Records the pool size and runs each job at submit, in-process."""
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    pooled = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "64")
+    monkeypatch.setattr(os, "fork", counting_fork)
     serial = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "1")
-    # the plan has three units
-    assert workers == [3]
-    assert pooled.exit_code == serial.exit_code == 0
-    assert pooled.output == serial.output
+    assert serial.exit_code == 0
+    # the plan has three units, and this process runs the first
+    for jobs, children in (("64", 2), ("2", 1), ("1", 0)):
+        forks.clear()
+        result = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", jobs)
+        assert len(forks) == children
+        assert result.exit_code == 0
+        assert result.output == serial.output
+
+
+def test_verify_raises_the_first_error_in_plan_order_at_every_job_count(
+    runner, monkeypatch
+):
+    def over_budget(grid):
+        raise BudgetExceededError("structure unit refused")
+
+    monkeypatch.setattr(hfg.verify, "grid_structure_unit", over_budget)
+    for jobs in ("1", "2", "3"):
+        result = runner.invoke(
+            cli.main, ["verify", "--m", "1,2", "--n", "1,2", "--jobs", jobs]
+        )
+        assert result.exit_code == 2
+        assert result.output == "budget exceeded: structure unit refused\n"
+
+
+@pytest.mark.parametrize(
+    "jobs, units",
+    [("2", "elimination_exits, grid_structure_unit"), ("3", "elimination_exits")],
+)
+def test_verify_fails_when_a_child_ends_without_results(
+    runner, monkeypatch, jobs, units
+):
+    # the elimination unit never runs in this process at --jobs 2 or more
+    def elimination_exits(grid, t_max, budget):
+        os._exit(3)
+
+    monkeypatch.setattr(hfg.verify, "grid_elimination_unit", elimination_exits)
+    result = runner.invoke(
+        cli.main, ["verify", "--m", "1,2", "--n", "1,2", "--jobs", jobs]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, RuntimeError)
+    assert str(result.exception) == (
+        "verify worker for %s ended with status 3 and sent no results" % units
+    )
+    assert result.output == ""
+
+
+def test_verify_returns_results_larger_than_a_pipe_buffer(runner):
+    args = ["verify", "--m", "1", "--n", "1", "--t-max", "2000"]
+    serial = invoke(runner, *args, "--jobs", "1")
+    forked = invoke(runner, *args, "--jobs", "2")
+    assert len(forked.output) > 65536
+    assert forked.exit_code == serial.exit_code == 0
+    assert forked.output == serial.output
+
+
+def test_verify_runs_serially_without_fork(runner, monkeypatch):
+    serial = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "1")
+    monkeypatch.delattr(os, "fork")
+    result = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "2")
+    assert result.exit_code == serial.exit_code == 0
+    assert result.output == serial.output
 
 
 def test_verify_failure_sets_exit_code_one(runner, monkeypatch):

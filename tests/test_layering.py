@@ -1,7 +1,7 @@
 """Each module of ``hfg`` imports alone in a fresh interpreter, and loads
 no module of a layer above it: the closed forms and the algebra below them
 load no oracle module, and the condition layer loads no other module.  The
-CLI loads the process pool's modules only when ``--jobs`` asks for a pool."""
+CLI loads ``pickle`` only when ``--jobs`` forks, and never a process pool."""
 from __future__ import annotations
 
 import json
@@ -31,17 +31,33 @@ _SCRIPT = (
 )
 
 
-def modules_loaded_by(module: str, packages=("hfg",)) -> set[str]:
-    """The modules of ``packages`` that importing ``module`` alone loads."""
+_VERIFY_SCRIPT = (
+    "import json, sys\n"
+    "import hfg.cli\n"
+    "try:\n"
+    "    hfg.cli.main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    assert not exc.code, exc.code\n"
+    "print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] in"
+    " ('concurrent', 'multiprocessing'))), file=sys.stderr)\n"
+)
+
+
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
     src = str(PACKAGE.parent)
-    run = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, module, *packages],
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
         cwd=src,
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=False,
     )
+
+
+def modules_loaded_by(module: str, packages=("hfg",)) -> set[str]:
+    """The modules of ``packages`` that importing ``module`` alone loads."""
+    run = _run_python(_SCRIPT, module, *packages)
     assert run.returncode == 0, run.stderr
     return set(json.loads(run.stdout))
 
@@ -62,3 +78,14 @@ def test_module_imports_alone_and_loads_no_layer_above_it(module):
 
 def test_cli_loads_no_process_pool():
     assert not modules_loaded_by("hfg.cli", ("concurrent", "multiprocessing"))
+
+
+def test_cli_loads_no_pickle():
+    assert not modules_loaded_by("hfg.cli", ("pickle",))
+
+
+def test_forked_verify_loads_no_process_pool():
+    run = _run_python(_VERIFY_SCRIPT, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "2")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["passed"] is True
+    assert json.loads(run.stderr) == []

@@ -294,8 +294,8 @@ def _run_verify_jobs(jobs, worker_count: int) -> list:
     """Run the plan's (unit, args) jobs and return their results in plan order.
 
     With more than one worker, this process forks ``workers - 1`` children
-    and runs job 0, the longest, itself; jobs 1.. go round robin to the
-    children.  A child inherits the grid and pickles back only its results.
+    and runs job 0 itself; jobs 1.. go round robin to the children.  A
+    child inherits the grid and pickles back only its results.
     Every child is reaped before this returns or raises, and the exception
     raised is that of the first job in plan order that raised, as in a
     serial run.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property
 
 from .budget import Budget, DEFAULT_BUDGET
@@ -78,8 +77,8 @@ class WeightedPointSet:
 
 # Support line of a singleton set {P}: the image under P of a fixed axis line.
 # Both templates contain [1:1:1], so the image line always passes through P.
-_ROW_TEMPLATE = Line((Fraction(1), Fraction(-1), Fraction(0)))  # x0 - x1
-_COL_TEMPLATE = Line((Fraction(1), Fraction(0), Fraction(-1)))  # x0 - x2
+_ROW_TEMPLATE = Line((1, -1, 0))  # x0 - x1
+_COL_TEMPLATE = Line((1, 0, -1))  # x0 - x2
 
 
 def _support_candidates(ws: WeightedPointSet) -> list[Line]:
@@ -223,14 +222,8 @@ def abstract_grid(row_multiplicities, col_multiplicities) -> FatGrid:
     """
     M = tuple(int(m) for m in row_multiplicities)
     N = tuple(int(n) for n in col_multiplicities)
-    row_points = [
-        Point((Fraction(1), Fraction(1), Fraction(i + 2)))
-        for i in range(len(M))
-    ]
-    col_points = [
-        Point((Fraction(1), Fraction(j + 2), Fraction(1)))
-        for j in range(len(N))
-    ]
+    row_points = [Point((1, 1, i + 2)) for i in range(len(M))]
+    col_points = [Point((1, j + 2, 1)) for j in range(len(N))]
     return build_grid(
         WeightedPointSet.make(row_points, M),
         WeightedPointSet.make(col_points, N),
@@ -361,7 +354,7 @@ def expand_pattern(g: FatGrid, pattern: GeneratorPattern) -> Polynomial:
         raise GridError("pattern shape does not match the grid")
     if any(e < 0 for e in pattern.h_exponents + pattern.v_exponents):
         raise GridError("pattern exponents must be non-negative")
-    f = Polynomial.constant(PLANE, Fraction(1))
+    f = Polynomial.constant(PLANE, 1)
     for e, hline in zip(pattern.h_exponents, g.h_lines):
         if e:
             f = f * hline.form() ** e

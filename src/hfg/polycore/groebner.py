@@ -390,12 +390,11 @@ def _moved(packed: Packed, dst: _Packing, offset: int = 0) -> list[IntPoly]:
 
 
 def _common_packing(
-    n: int, top: int, *packs: Packed
+    n: int, *packs: Packed
 ) -> tuple[_Packing, list[list[IntPoly]]]:
-    """A grevlex packing of n variables that holds every pack and degree
-    `top`, and the rows of each pack on it."""
-    width = max([top.bit_length() + 1] + [pk.width for pk, _ in packs])
-    dst = _packing(0, n, width)
+    """A grevlex packing of n variables that holds every pack, and the rows
+    of each pack on it."""
+    dst = _packing(0, n, max(pk.width for pk, _ in packs))
     return dst, [_moved(packed, dst) for packed in packs]
 
 

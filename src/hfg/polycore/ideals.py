@@ -138,7 +138,7 @@ class IdealPresentation:
         if self.block != other.block:
             raise BlockMismatchError("ideals live on different blocks")
         pk, (basis, gens) = _common_packing(
-            self.block.arity, 0, self._reduced_rows(), other._gen_rows
+            self.block.arity, self._reduced_rows(), other._gen_rows
         )
         return _all_reduce_to_zero(gens, basis, pk)
 
@@ -151,7 +151,7 @@ def ideal_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
     if a.block != b.block:
         raise BlockMismatchError("ideals live on different blocks")
     # reduced bases of primitive rows are canonical, like the monic ones
-    _, (ra, rb) = _common_packing(a.block.arity, 0, a._reduced_rows(), b._reduced_rows())
+    _, (ra, rb) = _common_packing(a.block.arity, a._reduced_rows(), b._reduced_rows())
     return ra == rb
 
 

@@ -15,7 +15,6 @@ import bisect
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .budget import Budget, DEFAULT_BUDGET
 from .conditions import pivot_columns, point_conditions
@@ -54,29 +53,18 @@ from .projective import (
 from .report import CheckInstance, VerificationReport, skipped, verdict
 
 
-def _plane_point(p) -> list[Fraction]:
-    """The coordinates of a projective point of the plane, as Fractions."""
-    coords = [Fraction(c) for c in p]
-    if len(coords) != 3:
-        raise DomainError("vanishing order wants a form and a point of the plane")
-    if all(c == 0 for c in coords):
-        raise DomainError("not a projective point: all coordinates are zero")
-    return coords
-
-
-def _vanishing_orders(f: Polynomial, points) -> list:
+def _vanishing_orders(f: Polynomial, points: list[Point]) -> list:
     """Order of vanishing of a homogeneous plane form at each projective
     point: the first derivative order whose ``point_conditions`` row it
     fails, in the chart of the point's last nonzero coordinate c.  The rows
     are built at the form's own monomials only, and differentiate at the
     other two primitive integer coordinates, so each term (denominators
     cleared, read once for all points) is weighted by c to its exponent on
-    c's variable, which by homogeneity scales the chart by c.  Each point
-    is checked first; at a valid point, zero gets +infinity.
+    c's variable, which by homogeneity scales the chart by c.  Zero gets
+    +infinity.
     """
-    charts = [_plane_point(p) for p in points]
     if f.is_zero:
-        return [math.inf for _ in charts]
+        return [math.inf for _ in points]
     if not f.is_homogeneous():
         raise DomainError("vanishing order wants a homogeneous polynomial")
     if f.block.arity != 3:
@@ -84,10 +72,10 @@ def _vanishing_orders(f: Polynomial, points) -> list:
     terms = f.integer_terms()[1]
     top = f.total_degree()
 
-    def order_at(coords) -> int:
-        pivot = max(i for i, c in enumerate(coords) if c)
+    def order_at(p: Point) -> int:
+        ints = primitive_coords(p)
+        pivot = max(i for i, c in enumerate(ints) if c)
         i, j = (k for k in range(3) if k != pivot)
-        ints = primitive_coords(coords)
         scale = ints[pivot]
         columns = [(exps[i], exps[j]) for exps, _ in terms]
         weights = [num * scale ** exps[pivot] for exps, num in terms]
@@ -98,13 +86,14 @@ def _vanishing_orders(f: Polynomial, points) -> list:
             if any(sum(map(operator.mul, row, weights)) for row in block):
                 return order
 
-    return [order_at(coords) for coords in charts]
+    return [order_at(p) for p in points]
 
 
 def vanishing_order(f: Polynomial, p) -> int | float:
     """Order of vanishing of a homogeneous plane form at a projective point,
-    +infinity for zero: ``_vanishing_orders`` at the one point."""
-    return _vanishing_orders(f, [p])[0]
+    +infinity for zero: ``_vanishing_orders`` at ``Point(p)``, which rejects
+    a malformed point first."""
+    return _vanishing_orders(f, [Point(p)])[0]
 
 
 def exact_rank(matrix, budget: Budget = DEFAULT_BUDGET) -> int:
@@ -489,7 +478,9 @@ def grid_elimination_unit(
 ) -> list[CheckInstance]:
     """The pattern ideal against the intersection oracle I, then for each
     t = 2..t_max whether I^t equals the symbolic power I^(t).  The oracle is
-    built once; a power over the degree cap is recorded as skipped.
+    built once.  The first power k over the degree cap ends the loop with
+    one skipped instance, labelled t=k..t_max when k < t_max: the top
+    degree t*top only grows with t, so every later power is over it too.
 
     Every ideal is built on the grid turned by ``rotate_coordinates``, so
     x0 is the engine's last variable.  A permutation of coordinates keeps
@@ -513,18 +504,21 @@ def grid_elimination_unit(
             ideal_equal(pattern_ideal(rotated), oracle),
         )
     ]
+    label = (
+        "t=%s: ordinary power equals symbolic power (elimination oracle: I^t"
+        " is saturated, no leading monomial of its reduced basis has x0)"
+    )
+    top = oracle.max_generator_degree()
     for t in range(2, t_max + 1):
-        label = (
-            "t=%d: ordinary power equals symbolic power (elimination oracle: I^t"
-            " is saturated, no leading monomial of its reduced basis has x0)" % t
-        )
         try:
             # the top degree of the t-th power, known before building it
-            budget.check_groebner(t * oracle.max_generator_degree())
-            leads = ideal_power(oracle, t).leading_exponents()
-            instances.append(verdict(label, not any(e[2] for e in leads)))
+            budget.check_groebner(t * top)
         except BudgetExceededError as exc:
-            instances.append(skipped(label, "equal", exc))
+            depths = t if t == t_max else "%d..%d" % (t, t_max)
+            instances.append(skipped(label % depths, "equal", exc))
+            break
+        leads = ideal_power(oracle, t).leading_exponents()
+        instances.append(verdict(label % t, not any(e[2] for e in leads)))
     return instances
 
 
@@ -571,9 +565,10 @@ def elimination_depth(t_max) -> int:
 
 
 def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
-    """The grid checks as independent (unit, args) jobs, longest first, so
-    that the calling process keeps the first when it forks the rest off:
-    the rank oracle, the elimination oracle, the structure checks.
+    """The grid checks as independent (unit, args) jobs: the rank oracle,
+    the elimination oracle, the structure checks.  A calling process that
+    forks keeps the first, the rank unit, which is the longest on the
+    running example but not on every grid.
 
     The grid cap, the elimination depth t_max and the rank oracle's matrix
     cap are checked here, before any unit runs.  Every unit takes the built

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import re
 
 import pytest
@@ -240,13 +241,40 @@ def test_verify_fails_when_a_child_ends_without_results(
     assert result.output == ""
 
 
-def test_verify_returns_results_larger_than_a_pipe_buffer(runner):
-    args = ["verify", "--m", "1", "--n", "1", "--t-max", "2000"]
+def test_verify_returns_results_larger_than_a_pipe_buffer(runner, monkeypatch):
+    def wide(grid):
+        return [
+            CheckInstance("wide instance %d " % k + "x" * 100, "a", "a", True)
+            for k in range(1000)
+        ]
+
+    # at --jobs 2 a forked child runs the structure unit and pickles it back
+    assert len(pickle.dumps(wide(None))) > 65536
+    monkeypatch.setattr(hfg.verify, "grid_structure_unit", wide)
+    args = ["verify", "--m", "1", "--n", "1"]
     serial = invoke(runner, *args, "--jobs", "1")
     forked = invoke(runner, *args, "--jobs", "2")
     assert len(forked.output) > 65536
     assert forked.exit_code == serial.exit_code == 0
     assert forked.output == serial.output
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_stops_the_powers_at_the_first_depth_over_the_cap(runner, jobs):
+    args = ["verify", "--m", "1", "--n", "1", "--t-max", "20000", "--jobs", jobs]
+    result = invoke(runner, *args)
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert (report["checks"], report["pass"], report["skipped"]) == (20, 19, 1)
+    powers = [inst for inst in report["instances"] if inst["label"].startswith("t=")]
+    assert [inst["label"].split(":")[0] for inst in powers] == [
+        *("t=%d" % t for t in range(2, 13)),
+        "t=13..20000",
+    ]
+    assert powers[-1]["status"] == "skipped"
+    assert powers[-1]["flag"] == (
+        "skipped: Groebner input of total degree 13 exceeds budget 12"
+    )
 
 
 def test_verify_runs_serially_without_fork(runner, monkeypatch):

@@ -1,13 +1,17 @@
 """Each module of ``hfg`` imports alone in a fresh interpreter, and loads
 no module of a layer above it: the closed forms and the algebra below them
 load no oracle module, and the condition layer loads no other module.  The
-CLI loads ``pickle`` only when ``--jobs`` forks, and never a process pool."""
+CLI loads ``pickle`` only when ``--jobs`` forks, and never a process pool.
+The oracle modules and ``hfg.fatgrid`` bind no ``Fraction``."""
 from __future__ import annotations
 
+import fractions
+import importlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -74,6 +78,14 @@ def test_module_imports_alone_and_loads_no_layer_above_it(module):
         assert loaded == {"hfg", "hfg.conditions"}
     if any(module == m or module.startswith(m + ".") for m in BELOW_THE_ORACLES):
         assert not loaded & ORACLE_MODULES, sorted(loaded & ORACLE_MODULES)
+
+
+@pytest.mark.parametrize("module", ["hfg.verify", "hfg.conditions", "hfg.fatgrid"])
+def test_rationals_enter_only_through_the_value_types(module):
+    """Points, lines and polynomials own every Fraction: these modules pass
+    them plain integers and read integers back, and bind no Fraction."""
+    namespace = vars(importlib.import_module(module)).values()
+    assert not any(value is Fraction or value is fractions for value in namespace)
 
 
 def test_cli_loads_no_process_pool():

@@ -70,7 +70,7 @@ def test_vanishing_order_basics():
     assert vanishing_order(Polynomial.zero(PLANE), Point((1, 1, 1))) == math.inf
 
 
-@pytest.mark.parametrize("point", [(0, 0, 0), (1, 2)])
+@pytest.mark.parametrize("point", [(0, 0, 0), (1, 2), (1, 1, 1, 1)])
 def test_vanishing_order_checks_the_point_of_the_zero_form(point):
     with pytest.raises(DomainError):
         vanishing_order(Polynomial.zero(PLANE), point)

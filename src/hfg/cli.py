@@ -394,7 +394,11 @@ def _run_share(jobs, share: list[int], read_end: int, write_end: int) -> None:
     "--budget-degree",
     type=int,
     default=None,
-    help="Override the total-multiplicity cap for oracle computations.",
+    help=(
+        "Cap N on the grid's total multiplicity T (default 24), checked"
+        " before any oracle runs; it also bounds the rank matrix to"
+        " C(N+1,2) x C(N+3,2)."
+    ),
 )
 @_format_option
 def verify_command(

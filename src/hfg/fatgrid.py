@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .budget import Budget, DEFAULT_BUDGET
 from .errors import DomainError, GridError, ParseError
 from .polycore import (
     PLANE,
@@ -293,9 +292,7 @@ def _intersect_pairwise(ideals: list[IdealPresentation]) -> IdealPresentation:
     return ideals[0]
 
 
-def grid_ideal_intersection(
-    g: FatGrid, budget: Budget = DEFAULT_BUDGET
-) -> IdealPresentation:
+def grid_ideal_intersection(g: FatGrid) -> IdealPresentation:
     """Oracle ideal of the grid: intersect the point-ideal powers directly.
 
     Each grid row's point powers are intersected in a balanced pairwise
@@ -303,8 +300,10 @@ def grid_ideal_intersection(
     points within each row, enter the trees heaviest first: in decreasing
     multiplicity.  The result is a reduced Groebner basis, so neither the
     grouping nor the order changes its generators.
+
+    No cap is checked here: ``hfg verify`` checks the grid cap once, in
+    ``grid_check_plan``, before any oracle runs.
     """
-    budget.check_grid(g.total_multiplicity)
     r, s = g.shape
     # ``make`` keeps both multiplicity vectors non-decreasing
     rows = range(r - 1, -1, -1)

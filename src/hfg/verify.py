@@ -96,23 +96,13 @@ def vanishing_order(f: Polynomial, p) -> int | float:
     return _vanishing_orders(f, [Point(p)])[0]
 
 
-def exact_rank(matrix, budget: Budget = DEFAULT_BUDGET) -> int:
+def exact_rank(matrix) -> int:
     """Rank over Q of an integer matrix: the number of its pivot columns,
     found mod a prime and certified exact (see ``pivot_columns``)."""
-    rows = len(matrix)
-    budget.check_matrix(rows, len(matrix[0]) if rows else 0)
     return len(pivot_columns(matrix))
 
 
-def _check_rank_matrix(g: FatGrid, top: int, budget: Budget) -> None:
-    """The rank oracle's matrix cap on the one matrix it builds: a row per
-    condition of the scheme, C(top+2, 2) columns."""
-    budget.check_matrix(g.scheme_degree(), math.comb(top + 2, 2))
-
-
-def hilbert_series_oracle(
-    g: FatGrid, top: int, budget: Budget = DEFAULT_BUDGET
-) -> list[int]:
+def hilbert_series_oracle(g: FatGrid, top: int) -> list[int]:
     """dim of the degree-d piece of the grid ideal for d = 0..top, by one
     exact elimination.
 
@@ -127,10 +117,13 @@ def hilbert_series_oracle(
     affine and invertible over Q: it keeps the space of polynomials of
     degree <= d and each fat point's multiplicity, so the rank of the first
     C(d+2, 2) columns, the degree-d conditions, is the same in every chart.
+
+    The matrix has a row per condition of the scheme and C(top+2, 2)
+    columns.  No cap is checked here: ``grid_check_plan`` checks the grid
+    cap, which bounds the matrix at the top degree ``hfg verify`` uses.
     """
     if top < 0:
         raise DomainError("degree must be non-negative")
-    _check_rank_matrix(g, top, budget)
     r, s = g.shape
     cells = [(i, j) for i in range(r) for j in range(s)]
     points = [primitive_coords(g.grid_points[i][j]) for i, j in cells]
@@ -155,11 +148,9 @@ def hilbert_series_oracle(
     ]
 
 
-def hilbert_function_oracle(
-    g: FatGrid, d: int, budget: Budget = DEFAULT_BUDGET
-) -> int:
+def hilbert_function_oracle(g: FatGrid, d: int) -> int:
     """dim of the degree-d piece of the grid ideal, by rank of conditions."""
-    return hilbert_series_oracle(g, d, budget)[d]
+    return hilbert_series_oracle(g, d)[d]
 
 
 def _variable_power(index: int, exponent: int) -> Polynomial:
@@ -497,7 +488,7 @@ def grid_elimination_unit(
     monomial of its reduced basis has a positive x0 exponent."""
     rotated = rotate_coordinates(g)
     assert all(p[2] for row in rotated.grid_points for p in row)
-    oracle = grid_ideal_intersection(rotated, budget)
+    oracle = grid_ideal_intersection(rotated)
     instances = [
         verdict(
             "pattern ideal equals the intersection oracle",
@@ -522,12 +513,12 @@ def grid_elimination_unit(
     return instances
 
 
-def grid_hilbert_unit(g: FatGrid, budget: Budget) -> list[CheckInstance]:
+def grid_hilbert_unit(g: FatGrid) -> list[CheckInstance]:
     """The resolution's Hilbert function against the rank oracle at every
     degree through the largest syzygy twist, then (last) the initial degree
     against the first degree where the oracle dimension is positive."""
     shifts = resolution(g)
-    computed = hilbert_series_oracle(g, max(shifts.syzygy_twists), budget)
+    computed = hilbert_series_oracle(g, max(shifts.syzygy_twists))
     instances = []
     for degree, value in enumerate(computed):
         predicted = hilbert_from_resolution(shifts, degree)
@@ -570,15 +561,17 @@ def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
     forks keeps the first, the rank unit, which is the longest on the
     running example but not on every grid.
 
-    The grid cap, the elimination depth t_max and the rank oracle's matrix
-    cap are checked here, before any unit runs.  Every unit takes the built
-    grid itself, so a forked child inherits it and never rebuilds it.
+    The grid cap and the elimination depth t_max are checked here, before
+    any unit runs, and the grid cap nowhere else.  With T the total
+    multiplicity, the rank unit's top degree, the largest syzygy twist, is
+    at most T + 1 and the scheme length at most C(T+1, 2), so the grid cap
+    also bounds the rank matrix (see ``hfg.budget``).  Every unit takes the
+    built grid itself, so a forked child inherits it and never rebuilds it.
     """
     budget.check_grid(g.total_multiplicity)
     t_max = elimination_depth(t_max)
-    _check_rank_matrix(g, max(resolution(g).syzygy_twists), budget)
     return [
-        (grid_hilbert_unit, (g, budget)),
+        (grid_hilbert_unit, (g,)),
         (grid_elimination_unit, (g, t_max, budget)),
         (grid_structure_unit, (g,)),
     ]

@@ -62,7 +62,9 @@ def example_grid():
 
 @pytest.fixture(scope="session")
 def example_budget():
-    """Default budget with the grid cap raised enough for the 3x4 example."""
+    """Default budget with the grid cap raised to 64, over the 3x4 example's
+    total multiplicity 59.  ``grid_check_plan`` is the one place the grid cap
+    is checked; the oracles themselves take no budget."""
     return dataclasses.replace(DEFAULT_BUDGET, max_grid_multiplicity=64)
 
 

@@ -194,7 +194,7 @@ def test_criterion_5_generator_theorem_matches_oracle(small_family):
     elapsed_under(start, 600.0)
 
 
-def test_criterion_6_resolution_matches_rank_oracle(small_family, example_grid, example_budget):
+def test_criterion_6_resolution_matches_rank_oracle(small_family, example_grid):
     start = time.monotonic()
     for g in small_family:
         shifts = resolution(g)
@@ -208,9 +208,7 @@ def test_criterion_6_resolution_matches_rank_oracle(small_family, example_grid, 
             )
 
     shifts = resolution(example_grid)
-    series = hilbert_series_oracle(
-        example_grid, max(shifts.syzygy_twists), example_budget
-    )
+    series = hilbert_series_oracle(example_grid, max(shifts.syzygy_twists))
     assert series[15] == 0
     assert series[16] == 2
     for d in range(max(shifts.syzygy_twists) + 1):

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import hfg.cli as cli
+import hfg.fatgrid
 import hfg.verify
 from hfg.budget import DEFAULT_BUDGET
 from hfg.errors import BudgetExceededError, ParseError
@@ -151,6 +152,47 @@ def test_budget_flag_controls_grid_cap(runner):
     assert "budget exceeded" in over.output
     bad = runner.invoke(cli.main, ["verify", "--m", "1", "--n", "1", "--budget-degree", "-3"])
     assert bad.exit_code == 2
+
+
+def test_grid_cap_refuses_before_any_work_and_is_the_only_cap(runner, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work before the grid cap")
+
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    # 62 collinear simple points: T = 62, the largest syzygy twist T + 1, so
+    # the rank matrix is 62 x C(65, 2) = 62 x 2080; the grid cap alone bounds it
+    collinear = ["verify", "--m", "1", "--n", ",".join(["1"] * 62)]
+    wide = runner.invoke(cli.main, [*collinear, "--budget-degree", "64"])
+    assert wide.exit_code == 0
+    assert json.loads(wide.output)["passed"] is True
+
+    with monkeypatch.context() as patched:
+        for name in (
+            "grid_hilbert_unit",
+            "grid_elimination_unit",
+            "grid_structure_unit",
+            "point_conditions",
+            "grid_ideal_intersection",
+        ):
+            patched.setattr(hfg.verify, name, forbidden)
+        patched.setattr(hfg.fatgrid, "grid_ideal_intersection", forbidden)
+        patched.setattr(os, "fork", counting_fork)
+        for jobs in ("1", "2"):
+            result = runner.invoke(
+                cli.main, ["verify", "--m", "2,3,3", "--n", "2,3,4,4", "--jobs", jobs]
+            )
+            assert result.exit_code == 2
+            assert result.output == (
+                "budget exceeded: grid total multiplicity 59 exceeds budget 24;"
+                " raise it with --budget-degree\n"
+            )
+    assert forks == []
 
 
 def test_verify_small_grid_passes(runner):
@@ -511,9 +553,9 @@ def test_verify_builds_each_grid_oracle_once(runner, monkeypatch):
     calls = []
     build = hfg.verify.grid_ideal_intersection
 
-    def counted(g, budget):
+    def counted(g):
         calls.append(g.total_multiplicity)
-        return build(g, budget)
+        return build(g)
 
     monkeypatch.setattr(hfg.verify, "grid_ideal_intersection", counted)
     result = invoke(

@@ -12,8 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hfg.fatgrid
-from hfg.budget import Budget
-from hfg.errors import BudgetExceededError, DomainError, GridError, ParseError
+from hfg.errors import DomainError, GridError, ParseError
 from hfg.fatgrid import (
     FatGrid,
     WeightedPointSet,
@@ -483,11 +482,6 @@ def test_grid_ideal_oracle_small_cases():
     assert oracle4.contains(v)
 
 
-def test_grid_ideal_respects_budget(example_grid):
-    with pytest.raises(BudgetExceededError):
-        grid_ideal_intersection(example_grid)
-
-
 @pytest.mark.parametrize(
     "grid",
     [
@@ -510,7 +504,6 @@ def test_grid_ideal_respects_budget(example_grid):
     ids=["1,2|1,2", "1,2|1,2,3", "1,2,3|1,2,3,4", "3|1,2,4,5", "2,2|1,1,5", "explicit", "t2"],
 )
 def test_grid_ideal_tree_matches_sequential_intersection(grid):
-    budget = Budget(max_grid_multiplicity=64)
     r, s = grid.shape
     factors = [
         ideal_power(point_ideal(grid.grid_points[i][j]), grid.mult[i][j])
@@ -518,4 +511,4 @@ def test_grid_ideal_tree_matches_sequential_intersection(grid):
         for j in range(s)
     ]
     reference = reduce(ideal_intersection, factors)
-    assert grid_ideal_intersection(grid, budget).generators == reference.generators
+    assert grid_ideal_intersection(grid).generators == reference.generators

@@ -128,6 +128,35 @@ def test_resolution_single_point():
     assert sorted(shifts.syzygy_twists) == [2]
 
 
+def test_grid_cap_bounds_the_rank_matrix():
+    """The rank oracle's top degree, the largest syzygy twist, is at most
+    T + 1 for total multiplicity T, with equality on collinear support; the
+    scheme length is at most C(T+1, 2).  So a grid cap T <= N bounds the
+    rank matrix to C(N+1, 2) x C(N+3, 2)."""
+
+    def top_and_length(m, n):
+        g = abstract_grid(m, n)
+        top = max(resolution(g).syzygy_twists)
+        T = g.total_multiplicity
+        assert top <= T + 1, (m, n)
+        assert g.scheme_degree() <= math.comb(T + 1, 2), (m, n)
+        return top, T
+
+    lists = [
+        p for r in (1, 2, 3) for p in combinations_with_replacement(range(1, 5), r)
+    ]
+    for m in lists:
+        for n in lists:
+            if len(m) <= len(n):
+                top_and_length(m, n)
+    for s in range(1, 31):
+        top, T = top_and_length((1,), (1,) * s)
+        assert top == T + 1, s
+    for m in range(1, 31):
+        top, T = top_and_length((m,), (1,))
+        assert top == T + 1, m
+
+
 def test_generator_patterns_example(example_grid):
     patterns = generator_patterns(example_grid)
     assert len(patterns) == 7

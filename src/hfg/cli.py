@@ -9,7 +9,6 @@ wherever the underlying object is a set.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import sys
@@ -17,7 +16,6 @@ import sys
 import click
 
 from . import __version__
-from .budget import DEFAULT_BUDGET, Budget
 from .errors import (
     BlockMismatchError,
     BudgetExceededError,
@@ -37,7 +35,12 @@ from .polycore import (
 )
 from .projective import Point
 from .report import VerificationReport
-from .verify import check_point_power_product, grid_check_plan, grid_report
+from .verify import (
+    MAX_TOTAL_MULTIPLICITY,
+    check_point_power_product,
+    grid_check_plan,
+    grid_report,
+)
 
 
 _ERROR_PREFIX = {
@@ -88,16 +91,6 @@ def _load_grid(m: str | None, n: str | None, grid_path: str | None) -> FatGrid:
         raise click.UsageError("provide either --grid or both --m and --n")
     return abstract_grid(
         _parse_int_list(m, "--m"), _parse_int_list(n, "--n")
-    )
-
-
-def _budget_from_flag(budget_degree: int | None) -> Budget:
-    if budget_degree is None:
-        return DEFAULT_BUDGET
-    if budget_degree < 1:
-        raise ParseError("--budget-degree must be a positive integer")
-    return dataclasses.replace(
-        DEFAULT_BUDGET, max_grid_multiplicity=budget_degree
     )
 
 
@@ -393,7 +386,7 @@ def _run_share(jobs, share: list[int], read_end: int, write_end: int) -> None:
 @click.option(
     "--budget-degree",
     type=int,
-    default=None,
+    default=MAX_TOTAL_MULTIPLICITY,
     help=(
         "Cap N on the grid's total multiplicity T (default 24), checked"
         " before any oracle runs; it also bounds the rank matrix to"
@@ -405,11 +398,12 @@ def verify_command(
     m, n, grid_path, t_max, jobs, budget_degree, output_format
 ) -> None:
     """Run every oracle check on a grid; exit 1 if any instance fails."""
-    budget = _budget_from_flag(budget_degree)
+    if budget_degree < 1:
+        raise ParseError("--budget-degree must be a positive integer")
     if jobs < 1:
         raise ParseError("--jobs must be a positive integer")
     g = _load_grid(m, n, grid_path)
-    plan = grid_check_plan(g, t_max, budget)
+    plan = grid_check_plan(g, t_max, budget_degree)
     report = grid_report(g, _run_verify_jobs(plan, jobs))
     _emit_report(report, output_format)
 

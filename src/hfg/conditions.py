@@ -126,8 +126,8 @@ def _echelon_mod(matrix, p: int):
     to a slot.  A row starts with entries below p and takes at most one
     update per pivot, so every slot stays below
     p + min(rows, width) * p * 2**k, the width the slots are given (17
-    bytes at p near 2**62 for up to 2000 rows); the back substitution in
-    ``_kernel_mod`` stays within the same bound.
+    bytes at p near 2**62 while min(rows, width) < 2048); the back
+    substitution in ``_kernel_mod`` stays within the same bound.
 
     Returns the pivot columns, each pivot row's slots after its pivot
     column, and the slot size in bytes.

@@ -16,7 +16,6 @@ import itertools
 import math
 import operator
 
-from .budget import Budget, DEFAULT_BUDGET
 from .conditions import pivot_columns, point_conditions
 from .errors import BudgetExceededError, DomainError
 from .fatgrid import (
@@ -51,6 +50,23 @@ from .projective import (
     primitive_coords,
 )
 from .report import CheckInstance, VerificationReport, skipped, verdict
+
+# The grid cap: the default bound on the total multiplicity T of a grid that
+# ``grid_check_plan`` accepts, which ``hfg verify --budget-degree`` sets.
+MAX_TOTAL_MULTIPLICITY = 24
+# The Groebner-degree cap on the total degree of direct Groebner inputs:
+# ``check_point_power_product``, ``check_lemma_irrelevant`` and
+# ``check_join_symbolic`` refuse an input over it, and the power loop of
+# ``grid_elimination_unit`` skips the powers over it.
+MAX_GROEBNER_DEGREE = 12
+
+
+def _cap_groebner_degree(degree: int) -> None:
+    if degree > MAX_GROEBNER_DEGREE:
+        raise BudgetExceededError(
+            "Groebner input of total degree %d exceeds budget %d"
+            % (degree, MAX_GROEBNER_DEGREE)
+        )
 
 
 def _vanishing_orders(f: Polynomial, points: list[Point]) -> list:
@@ -160,7 +176,7 @@ def _variable_power(index: int, exponent: int) -> Polynomial:
 
 
 def check_point_power_product(
-    P: Point, Q: Point, m: int, n: int, budget: Budget = DEFAULT_BUDGET
+    P: Point, Q: Point, m: int, n: int
 ) -> VerificationReport:
     """Compare I(P)^m * I(Q)^n (Hadamard) with its stratum-wise prediction.
 
@@ -179,7 +195,7 @@ def check_point_power_product(
             % (P.to_string(), Q.to_string())
         )
     # I(P*Q)^(m+n-1) is the largest Groebner input built below
-    budget.check_groebner(m + n - 1)
+    _cap_groebner_degree(m + n - 1)
 
     result = hadamard_ideals(
         ideal_power(point_ideal(P), m), ideal_power(point_ideal(Q), n)
@@ -324,9 +340,7 @@ def check_point_power_product(
     )
 
 
-def check_lemma_irrelevant(
-    P: Point, t: int, budget: Budget = DEFAULT_BUDGET
-) -> VerificationReport:
+def check_lemma_irrelevant(P: Point, t: int) -> VerificationReport:
     """Hadamard product of a point ideal with a power of the irrelevant ideal.
 
     Off the coordinate triangle the power is unchanged; on it, the product
@@ -335,7 +349,7 @@ def check_lemma_irrelevant(
     t = int(t)
     if t < 1:
         raise DomainError("power must be a positive integer")
-    budget.check_groebner(t)
+    _cap_groebner_degree(t)
     d = delta_index(P)
     power = irrelevant_power(t)
     result = hadamard_ideals(point_ideal(P), power)
@@ -395,9 +409,7 @@ def check_lemma_irrelevant(
     )
 
 
-def check_join_symbolic(
-    P: Point, t: int, budget: Budget = DEFAULT_BUDGET
-) -> VerificationReport:
+def check_join_symbolic(P: Point, t: int) -> VerificationReport:
     """Join with the t-th irrelevant power computes the t-th symbolic power.
 
     For a single point the symbolic power is the ordinary one, so the check
@@ -406,7 +418,7 @@ def check_join_symbolic(
     t = int(t)
     if t < 1:
         raise DomainError("power must be a positive integer")
-    budget.check_groebner(t)
+    _cap_groebner_degree(t)
     ideal = point_ideal(P)
     joined = join_ideals(ideal, irrelevant_power(t))
     return VerificationReport(
@@ -464,9 +476,7 @@ def pattern_ideal(g: FatGrid) -> IdealPresentation:
     )
 
 
-def grid_elimination_unit(
-    g: FatGrid, t_max: int, budget: Budget
-) -> list[CheckInstance]:
+def grid_elimination_unit(g: FatGrid, t_max: int) -> list[CheckInstance]:
     """The pattern ideal against the intersection oracle I, then for each
     t = 2..t_max whether I^t equals the symbolic power I^(t).  The oracle is
     built once.  The first power k over the degree cap ends the loop with
@@ -503,7 +513,7 @@ def grid_elimination_unit(
     for t in range(2, t_max + 1):
         try:
             # the top degree of the t-th power, known before building it
-            budget.check_groebner(t * top)
+            _cap_groebner_degree(t * top)
         except BudgetExceededError as exc:
             depths = t if t == t_max else "%d..%d" % (t, t_max)
             instances.append(skipped(label % depths, "equal", exc))
@@ -544,35 +554,33 @@ def grid_hilbert_unit(g: FatGrid) -> list[CheckInstance]:
     return instances
 
 
-def elimination_depth(t_max) -> int:
-    """The elimination oracle's last power t as an int, rejected below 1."""
+def grid_check_plan(g: FatGrid, t_max: int, max_total: int) -> list:
+    """The grid checks as independent (unit, args) jobs: the rank oracle,
+    the elimination oracle, the structure checks.  A calling process that
+    forks keeps the first, the rank unit, which is the longest on the
+    running example but not on every grid.
+
+    The grid cap max_total on the total multiplicity T and the elimination
+    depth t_max are checked here, before any unit runs, and the grid cap
+    nowhere else.  The rank unit's top degree, the largest syzygy twist, is
+    at most T + 1 and the scheme length at most C(T+1, 2), so the grid cap
+    also bounds the rank matrix.  Every unit takes the built grid itself,
+    so a forked child inherits it and never rebuilds it.
+    """
+    if g.total_multiplicity > max_total:
+        raise BudgetExceededError(
+            "grid total multiplicity %d exceeds budget %d; raise it with"
+            " --budget-degree" % (g.total_multiplicity, max_total)
+        )
     t_max = int(t_max)
     if t_max < 1:
         raise DomainError(
             "the elimination oracle's last power t_max (--t-max) must be a"
             " positive integer"
         )
-    return t_max
-
-
-def grid_check_plan(g: FatGrid, t_max: int, budget: Budget) -> list:
-    """The grid checks as independent (unit, args) jobs: the rank oracle,
-    the elimination oracle, the structure checks.  A calling process that
-    forks keeps the first, the rank unit, which is the longest on the
-    running example but not on every grid.
-
-    The grid cap and the elimination depth t_max are checked here, before
-    any unit runs, and the grid cap nowhere else.  With T the total
-    multiplicity, the rank unit's top degree, the largest syzygy twist, is
-    at most T + 1 and the scheme length at most C(T+1, 2), so the grid cap
-    also bounds the rank matrix (see ``hfg.budget``).  Every unit takes the
-    built grid itself, so a forked child inherits it and never rebuilds it.
-    """
-    budget.check_grid(g.total_multiplicity)
-    t_max = elimination_depth(t_max)
     return [
         (grid_hilbert_unit, (g,)),
-        (grid_elimination_unit, (g, t_max, budget)),
+        (grid_elimination_unit, (g, t_max)),
         (grid_structure_unit, (g,)),
     ]
 
@@ -595,8 +603,8 @@ def grid_report(g: FatGrid, results) -> VerificationReport:
 
 
 def check_grid_end_to_end(
-    g: FatGrid, budget: Budget = DEFAULT_BUDGET, t_max: int = 2
+    g: FatGrid, max_total: int = MAX_TOTAL_MULTIPLICITY, t_max: int = 2
 ) -> VerificationReport:
     """Run the grid check plan serially; ``hfg verify`` runs the same plan."""
-    plan = grid_check_plan(g, t_max, budget)
+    plan = grid_check_plan(g, t_max, max_total)
     return grid_report(g, [unit(*args) for unit, args in plan])

@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import dataclasses
 from itertools import combinations_with_replacement, product
 
 import pytest
 
-from hfg.budget import DEFAULT_BUDGET
 from hfg.fatgrid import (
     WeightedPointSet,
     abstract_grid,
@@ -58,14 +56,6 @@ def is_totally_ordered(tuples) -> bool:
 @pytest.fixture(scope="session")
 def example_grid():
     return abstract_grid(EXAMPLE_M, EXAMPLE_N)
-
-
-@pytest.fixture(scope="session")
-def example_budget():
-    """Default budget with the grid cap raised to 64, over the 3x4 example's
-    total multiplicity 59.  ``grid_check_plan`` is the one place the grid cap
-    is checked; the oracles themselves take no budget."""
-    return dataclasses.replace(DEFAULT_BUDGET, max_grid_multiplicity=64)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
-from hfg.budget import DEFAULT_BUDGET
 from hfg.fatgrid import abstract_grid, grid_ideal_intersection
 from hfg.invariants import (
     alpha_degree,
@@ -258,7 +257,7 @@ def test_criterion_8_resurgence_certificate(example_grid):
     assert small_report.passed
     oracle_instances = [
         inst
-        for inst in check_grid_end_to_end(g, DEFAULT_BUDGET, t_max=2).instances
+        for inst in check_grid_end_to_end(g, t_max=2).instances
         if "elimination oracle" in inst.label
     ]
     assert len(oracle_instances) == 1

@@ -11,7 +11,6 @@ from click.testing import CliRunner
 import hfg.cli as cli
 import hfg.fatgrid
 import hfg.verify
-from hfg.budget import DEFAULT_BUDGET
 from hfg.errors import BudgetExceededError, ParseError
 from hfg.fatgrid import abstract_grid, grid_from_json
 from hfg.polycore import ideal_from_json, ideal_to_json, irrelevant_power
@@ -268,7 +267,7 @@ def test_verify_fails_when_a_child_ends_without_results(
     runner, monkeypatch, jobs, units
 ):
     # the elimination unit never runs in this process at --jobs 2 or more
-    def elimination_exits(grid, t_max, budget):
+    def elimination_exits(grid, t_max):
         os._exit(3)
 
     monkeypatch.setattr(hfg.verify, "grid_elimination_unit", elimination_exits)
@@ -351,9 +350,7 @@ def test_verify_prints_a_failing_vanishing_order(runner, monkeypatch):
 
 
 def test_library_and_cli_run_the_same_grid_plan(runner):
-    report = hfg.verify.check_grid_end_to_end(
-        abstract_grid((1, 2), (1, 2)), DEFAULT_BUDGET, t_max=2
-    )
+    report = hfg.verify.check_grid_end_to_end(abstract_grid((1, 2), (1, 2)), t_max=2)
     expected = report.to_dict()["instances"]
     for jobs in ("1", "2"):
         result = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", jobs)
@@ -505,6 +502,17 @@ def test_power_check_rejects_bad_point_text(runner):
     result = runner.invoke(cli.main, ["power-check", "--p", "1:2", "--q", "1:1:1"])
     assert result.exit_code == 2
     assert "input parse error" in result.output
+
+
+def test_power_check_refuses_a_target_power_over_the_degree_cap(runner):
+    result = runner.invoke(
+        cli.main, ["power-check", "--p", "1:2:3", "--q", "2:1:1", "-m", "7", "-n", "7"]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "budget exceeded: Groebner input of total degree 13 exceeds budget 12\n"
+    )
 
 
 def test_power_check_has_no_budget_flag(runner):

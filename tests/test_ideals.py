@@ -154,7 +154,7 @@ def test_hadamard_distributes_over_intersection():
     assert ideal_equal(left, right)
 
 
-def test_membership_via_normal_form(example_budget):
+def test_membership_via_normal_form():
     members = ideal("x1^2", "x2^2")
     basis = members.groebner_basis()
     assert normal_form(poly("x1^2 + x2^2"), basis).is_zero

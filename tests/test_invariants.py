@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 import tracemalloc
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 import hfg.cli as cli
 import hfg.invariants
 import hfg.verify
-from hfg.budget import DEFAULT_BUDGET
 from hfg.errors import DomainError, GridError
 from hfg.fatgrid import abstract_grid, grid_ideal_intersection
 from hfg.invariants import (
@@ -235,10 +233,10 @@ def test_resurgence_certificate_trivial_t1(example_grid):
     )
 
 
-def test_resurgence_certificate_example_t3(example_grid, example_budget):
+def test_resurgence_certificate_example_t3(example_grid):
     report = resurgence_certificate(example_grid)
     assert report.passed
-    instances = grid_elimination_unit(example_grid, 3, example_budget)
+    instances = grid_elimination_unit(example_grid, 3)
     skipped = [inst for inst in instances if inst.flag]
     # The full elimination cross-check is out of budget for the 3x4 grid and
     # must be reported as skipped, never silently dropped.
@@ -252,7 +250,7 @@ def test_resurgence_certificate_with_groebner_cross_check():
     assert report.passed
     oracle_instances = [
         inst
-        for inst in grid_elimination_unit(g, 2, DEFAULT_BUDGET)
+        for inst in grid_elimination_unit(g, 2)
         if "elimination oracle" in inst.label
     ]
     assert len(oracle_instances) == 1
@@ -260,9 +258,7 @@ def test_resurgence_certificate_with_groebner_cross_check():
     assert all(inst.computed == "equal" for inst in oracle_instances)
 
 
-def test_certificate_is_the_same_at_every_depth_and_small(
-    example_grid, example_budget, monkeypatch
-):
+def test_certificate_is_the_same_at_every_depth_and_small(example_grid, monkeypatch):
     """``--t-max`` sets only the elimination unit's depth: the certificate
     instances of the plan are the same at t_max = 1, 2 and 18, and at 18
     the certificate allocates under 1 MB (the t-fold product enumeration it
@@ -280,7 +276,7 @@ def test_certificate_is_the_same_at_every_depth_and_small(
 
     monkeypatch.setattr(hfg.verify, "resurgence_certificate", traced)
     tails = [
-        check_grid_end_to_end(example_grid, example_budget, t_max).instances[-2:]
+        check_grid_end_to_end(example_grid, max_total=64, t_max=t_max).instances[-2:]
         for t_max in (1, 2, 18)
     ]
     assert tails[0] == tails[1] == tails[2] == certify(example_grid).instances
@@ -313,9 +309,9 @@ def test_invariants_report_serialization(example_grid):
 
 
 def test_power_above_the_degree_cap_builds_no_power(monkeypatch):
-    """The grid cap no longer bounds a power: under a grid cap of 12 the
-    (1,2|1,2) oracle (total multiplicity 8, top degree 5) computes t = 2,
-    and the degree cap skips t = 3 before ``ideal_power`` runs."""
+    """The degree cap, not the grid cap, bounds a power: the (1,2|1,2)
+    oracle (total multiplicity 8, top degree 5) computes t = 2, and the
+    degree cap skips t = 3 before ``ideal_power`` runs."""
     powers = []
     build = hfg.verify.ideal_power
 
@@ -325,8 +321,7 @@ def test_power_above_the_degree_cap_builds_no_power(monkeypatch):
 
     monkeypatch.setattr(hfg.verify, "ideal_power", counted)
     g = abstract_grid((1, 2), (1, 2))
-    budget = dataclasses.replace(DEFAULT_BUDGET, max_grid_multiplicity=12)
-    instances = grid_elimination_unit(g, 3, budget)
+    instances = grid_elimination_unit(g, 3)
     oracle = [inst for inst in instances if "elimination oracle" in inst.label]
     assert [inst.status for inst in oracle] == ["pass", "skipped"]
     assert oracle[1].flag == (

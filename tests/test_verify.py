@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import itertools
 import math
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 
 import hfg.conditions
 import hfg.verify
-from hfg.budget import DEFAULT_BUDGET
 from hfg.errors import BudgetExceededError, DomainError, GridError
 from hfg.fatgrid import (
     WeightedPointSet,
@@ -493,8 +491,8 @@ def test_resurgence_skip_builds_no_ideal_power(monkeypatch):
 
     monkeypatch.setattr(hfg.verify, "ideal_power", counted)
     # the base oracle of (1,2|1,2) has top degree 5, so t=2 needs degree 10
-    budget = dataclasses.replace(DEFAULT_BUDGET, max_groebner_degree=8)
-    instances = grid_elimination_unit(abstract_grid((1, 2), (1, 2)), 2, budget)
+    monkeypatch.setattr(hfg.verify, "MAX_GROEBNER_DEGREE", 8)
+    instances = grid_elimination_unit(abstract_grid((1, 2), (1, 2)), 2)
     # the pattern-ideal instance first, then one per t >= 2
     oracle = instances[1:]
     assert [(inst.computed, inst.flag) for inst in oracle] == [
@@ -506,7 +504,7 @@ def test_resurgence_skip_builds_no_ideal_power(monkeypatch):
     assert powers == []
 
 
-def _elimination_unit_in_original_coordinates(g, t_max, budget):
+def _elimination_unit_in_original_coordinates(g, t_max):
     """The elimination unit with every ideal built on g as it is, so that
     x2 is the engine's last variable and the saturation is read on x2;
     grid points have x2 != 0 as well."""
@@ -519,7 +517,7 @@ def _elimination_unit_in_original_coordinates(g, t_max, budget):
     ]
     for t in range(2, t_max + 1):
         try:
-            budget.check_groebner(t * oracle.max_generator_degree())
+            hfg.verify._cap_groebner_degree(t * oracle.max_generator_degree())
             leads = ideal_power(oracle, t).leading_exponents()
             instances.append(verdict(POWER_LABEL % t, not any(e[2] for e in leads)))
         except BudgetExceededError as exc:
@@ -568,8 +566,8 @@ SMALL_AND_SEEDED_IDS = [
 def test_rotated_elimination_unit_matches_the_original_coordinates(grid):
     """Turning the coordinates changes no verdict; it can only let an
     equality run that the degree cap skipped before."""
-    got = grid_elimination_unit(grid, 2, DEFAULT_BUDGET)
-    reference = _elimination_unit_in_original_coordinates(grid, 2, DEFAULT_BUDGET)
+    got = grid_elimination_unit(grid, 2)
+    reference = _elimination_unit_in_original_coordinates(grid, 2)
     assert [inst.label for inst in got] == [inst.label for inst in reference]
     for new, old in zip(got, reference):
         assert (new.passed, new.computed) == (old.passed, old.computed) or (
@@ -583,7 +581,7 @@ def test_grid_report_concatenates_the_units_by_route():
     degree and the initial degree, then the closed-form certificate for
     every t; at t_max = 1 only the elimination's power block is gone."""
     g = abstract_grid((1, 2), (1, 1))
-    report = check_grid_end_to_end(g, DEFAULT_BUDGET, t_max=2)
+    report = check_grid_end_to_end(g, t_max=2)
     assert [inst.label for inst in report.instances] == [
         "every expanded pattern vanishes to full multiplicity at every grid point",
         "pattern ideal equals the intersection oracle",
@@ -601,7 +599,7 @@ def test_grid_report_concatenates_the_units_by_route():
         " where both inequalities are equalities",
     ]
     assert report.passed
-    assert check_grid_end_to_end(g, DEFAULT_BUDGET, t_max=1).instances == [
+    assert check_grid_end_to_end(g, t_max=1).instances == [
         inst for inst in report.instances if not inst.label.startswith("t=2:")
     ]
 
@@ -613,7 +611,7 @@ def test_no_report_compares_the_t1_oracle_with_itself(small_family):
     for g in small_family:
         labels = [
             inst.label
-            for inst in check_grid_end_to_end(g, DEFAULT_BUDGET, t_max=2).instances
+            for inst in check_grid_end_to_end(g, t_max=2).instances
         ]
         assert not any(
             label.startswith("t=1:") or label == "pattern count equals m_r + n_s"
@@ -674,7 +672,7 @@ def test_power_instance_fails_on_an_unsaturated_oracle(monkeypatch):
     monkeypatch.setattr(
         hfg.verify, "grid_ideal_intersection", lambda g: _fat_points(points)
     )
-    instances = grid_elimination_unit(abstract_grid((1, 2), (1, 2)), 3, DEFAULT_BUDGET)
+    instances = grid_elimination_unit(abstract_grid((1, 2), (1, 2)), 3)
     assert [(inst.label, inst.status, inst.computed) for inst in instances[1:]] == [
         (POWER_LABEL % t, "fail", "different") for t in (2, 3)
     ]
@@ -690,8 +688,8 @@ def test_elimination_unit_builds_one_oracle_at_every_depth(t_max, monkeypatch):
         return build(g)
 
     monkeypatch.setattr(hfg.verify, "grid_ideal_intersection", counted)
-    budget = dataclasses.replace(DEFAULT_BUDGET, max_groebner_degree=64)
-    instances = grid_elimination_unit(abstract_grid((1, 2), (1, 2)), t_max, budget)
+    monkeypatch.setattr(hfg.verify, "MAX_GROEBNER_DEGREE", 64)
+    instances = grid_elimination_unit(abstract_grid((1, 2), (1, 2)), t_max)
     assert calls == [8]
     assert [inst.status for inst in instances] == ["pass"] * t_max
 
@@ -709,7 +707,7 @@ def test_the_scan_agrees_with_the_symbolic_grid_oracle_at_t2():
         symbolic = grid_ideal_intersection(
             rotate_coordinates(rebuilt_symbolic_grid(g, 2))
         )
-        power = grid_elimination_unit(g, 2, DEFAULT_BUDGET)[1]
+        power = grid_elimination_unit(g, 2)[1]
         assert power.label == POWER_LABEL % 2
         assert power.passed is ideal_equal(ideal_power(oracle, 2), symbolic), (m, n)
 
@@ -718,7 +716,7 @@ def test_pattern_ideal_instance_fails_without_one_pattern(monkeypatch):
     patterns = hfg.verify.generator_patterns
     monkeypatch.setattr(hfg.verify, "generator_patterns", lambda g: patterns(g)[1:])
     g = abstract_grid((1, 2), (1, 2))
-    first = grid_elimination_unit(g, 1, DEFAULT_BUDGET)[0]
+    first = grid_elimination_unit(g, 1)[0]
     assert first.label == "pattern ideal equals the intersection oracle"
     assert (first.passed, first.computed) == (False, "different")
 
@@ -798,6 +796,20 @@ def test_power_product_caps_the_degree_of_the_target_power(monkeypatch):
         BudgetExceededError, match=r"^Groebner input of total degree 13 "
     ):
         check_point_power_product(Point((1, 2, 3)), Point((2, 1, 1)), 7, 7)
+
+
+@pytest.mark.parametrize("check", [check_lemma_irrelevant, check_join_symbolic])
+def test_irrelevant_power_checks_cap_the_degree_before_any_ideal(check, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an ideal built before the degree check")
+
+    for name in ("hadamard_ideals", "join_ideals", "irrelevant_power"):
+        monkeypatch.setattr(hfg.verify, name, forbidden)
+    with pytest.raises(BudgetExceededError) as refused:
+        check(Point((1, 2, 3)), 13)
+    assert str(refused.value) == (
+        "Groebner input of total degree 13 exceeds budget 12"
+    )
 
 
 def test_lemma_irrelevant_off_coordinate_lines():

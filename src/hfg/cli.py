@@ -286,60 +286,56 @@ def invariants_command(m, n, grid_path, output_format) -> None:
 def _run_verify_jobs(jobs, worker_count: int) -> list:
     """Run the plan's (unit, args) jobs and return their results in plan order.
 
-    With more than one worker, this process forks ``workers - 1`` children
-    and runs job 0 itself; jobs 1.. go round robin to the children.  A
-    child inherits the grid and pickles back only its results.
-    Every child is reaped before this returns or raises, and the exception
+    With two or more workers and jobs, one forked child runs every job but
+    the last, in plan order, and this process runs the last, the plan's
+    rank unit.  The child inherits the grid and pickles back only its
+    results.  It is reaped before this returns or raises, and the exception
     raised is that of the first job in plan order that raised, as in a
     serial run.
     """
-    workers = min(worker_count, len(jobs))
-    if workers <= 1 or not hasattr(os, "fork"):
+    if worker_count < 2 or len(jobs) < 2 or not hasattr(os, "fork"):
         return [fn(*args) for fn, args in jobs]
     # imported here so that importing the CLI loads no pickle
     import pickle
 
-    shares = [list(range(k, len(jobs), workers - 1)) for k in range(1, workers)]
-    children = []
+    *forked, (fn, args) = jobs
+    read_end, write_end = os.pipe()
     try:
-        for share in shares:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_share(jobs, share, read_end, write_end)
-            os.close(write_end)
-            children.append((pid, read_end))
-        fn, args = jobs[0]
-        results = {0: fn(*args)}
-    finally:
-        replies = []
-        for pid, read_end in children:
-            # read to EOF first: a payload can exceed the pipe's buffer
-            with os.fdopen(read_end, "rb") as pipe:
-                data = pipe.read()
-            replies.append((data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
-    errors = {}
-    for share, (data, status) in zip(shares, replies):
-        if status != 0 or not data:
-            errors[share[0]] = RuntimeError(
-                "verify worker for %s ended with status %d and sent no results"
-                % (", ".join(jobs[j][0].__name__ for j in share), status)
-            )
-            continue
-        values, error = pickle.loads(data)
-        results.update(zip(share, values))
-        if error is not None:
-            errors[share[len(values)]] = error
-    if errors:
-        raise errors[min(errors)]
-    return [results[j] for j in range(len(jobs))]
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        _run_in_child(forked, read_end, write_end)
+    os.close(write_end)
+    try:
+        last, error = fn(*args), None
+    except BaseException as exc:
+        last, error = None, exc
+    # read to EOF first: a payload can exceed the pipe's buffer
+    with os.fdopen(read_end, "rb") as pipe:
+        data = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not data:
+        raise RuntimeError(
+            "verify worker for %s ended with status %d and sent no results"
+            % (", ".join(unit.__name__ for unit, _ in forked), status)
+        )
+    values, child_error = pickle.loads(data)
+    # the child's jobs come first in plan order, so its error wins
+    if child_error is not None:
+        raise child_error
+    if error is not None:
+        raise error
+    return values + [last]
 
 
-def _run_share(jobs, share: list[int], read_end: int, write_end: int) -> None:
-    """In a forked child: run the jobs of `share` in plan order up to the
-    first exception, write the pickled (results, exception) to the pipe and
-    end the process, never returning into the caller.  A payload that does
-    not pickle is not written, and the child exits 1."""
+def _run_in_child(jobs, read_end: int, write_end: int) -> None:
+    """In a forked child: run `jobs` in plan order up to the first
+    exception, write the pickled (results, exception) to the pipe and end
+    the process, never returning into the caller.  A payload that does not
+    pickle is not written, and the child exits 1."""
     status = 1
     try:
         import pickle
@@ -347,8 +343,7 @@ def _run_share(jobs, share: list[int], read_end: int, write_end: int) -> None:
         os.close(read_end)
         values, error = [], None
         try:
-            for j in share:
-                fn, args = jobs[j]
+            for fn, args in jobs:
                 values.append(fn(*args))
         except BaseException as exc:
             error = exc
@@ -379,8 +374,8 @@ def _run_share(jobs, share: list[int], read_end: int, write_end: int) -> None:
     default=1,
     show_default=True,
     help=(
-        "Processes that run the independent checks, this one included;"
-        " the others are forked."
+        "Processes that run the independent checks, at most two: from 2"
+        " up, one forked child runs all but the rank check."
     ),
 )
 @click.option(

@@ -555,10 +555,10 @@ def grid_hilbert_unit(g: FatGrid) -> list[CheckInstance]:
 
 
 def grid_check_plan(g: FatGrid, t_max: int, max_total: int) -> list:
-    """The grid checks as independent (unit, args) jobs: the rank oracle,
-    the elimination oracle, the structure checks.  A calling process that
-    forks keeps the first, the rank unit, which is the longest on the
-    running example but not on every grid.
+    """The grid checks as independent (unit, args) jobs in report order:
+    the structure checks, the elimination oracle, the rank oracle.  A
+    calling process that forks keeps the last, the rank unit, which is the
+    longest on the running example but not on every grid.
 
     The grid cap max_total on the total multiplicity T and the elimination
     depth t_max are checked here, before any unit runs, and the grid cap
@@ -579,25 +579,21 @@ def grid_check_plan(g: FatGrid, t_max: int, max_total: int) -> list:
             " positive integer"
         )
     return [
-        (grid_hilbert_unit, (g,)),
-        (grid_elimination_unit, (g, t_max)),
         (grid_structure_unit, (g,)),
+        (grid_elimination_unit, (g, t_max)),
+        (grid_hilbert_unit, (g,)),
     ]
 
 
 def grid_report(g: FatGrid, results) -> VerificationReport:
-    """Concatenate the plan's unit results whole, one route after another:
-    structure (vanishing orders), elimination (pattern ideal, then the
-    saturation of each power t = 2..t_max), rank (Hilbert function by
-    degree, then initial degree), then the closed-form resurgence
-    certificate, checked for every t."""
-    hilbert, elimination, structure = results
+    """Every unit's instances in plan order, then the closed-form
+    resurgence certificate, checked for every t: structure (vanishing
+    orders), elimination (pattern ideal, then the saturation of each power
+    t = 2..t_max), rank (Hilbert function by degree, then initial degree)."""
     return VerificationReport(
         "grid verification, M=%s, N=%s"
         % (list(g.row_multiplicities), list(g.col_multiplicities)),
-        structure
-        + elimination
-        + hilbert
+        [inst for unit in results for inst in unit]
         + resurgence_certificate(g).instances,
     )
 
@@ -605,6 +601,7 @@ def grid_report(g: FatGrid, results) -> VerificationReport:
 def check_grid_end_to_end(
     g: FatGrid, max_total: int = MAX_TOTAL_MULTIPLICITY, t_max: int = 2
 ) -> VerificationReport:
-    """Run the grid check plan serially; ``hfg verify`` runs the same plan."""
+    """Run the grid check plan serially, in plan order; ``hfg verify`` runs
+    the same plan and reports it in the same order at every ``--jobs``."""
     plan = grid_check_plan(g, t_max, max_total)
     return grid_report(g, [unit(*args) for unit, args in plan])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pickle
@@ -235,8 +236,8 @@ def test_verify_starts_no_more_workers_than_jobs(runner, monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     serial = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "1")
     assert serial.exit_code == 0
-    # the plan has three units, and this process runs the first
-    for jobs, children in (("64", 2), ("2", 1), ("1", 0)):
+    # from --jobs 2 up one child runs every unit but the last
+    for jobs, children in (("64", 1), ("2", 1), ("1", 0)):
         forks.clear()
         result = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", jobs)
         assert len(forks) == children
@@ -259,13 +260,8 @@ def test_verify_raises_the_first_error_in_plan_order_at_every_job_count(
         assert result.output == "budget exceeded: structure unit refused\n"
 
 
-@pytest.mark.parametrize(
-    "jobs, units",
-    [("2", "elimination_exits, grid_structure_unit"), ("3", "elimination_exits")],
-)
-def test_verify_fails_when_a_child_ends_without_results(
-    runner, monkeypatch, jobs, units
-):
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_verify_fails_when_a_child_ends_without_results(runner, monkeypatch, jobs):
     # the elimination unit never runs in this process at --jobs 2 or more
     def elimination_exits(grid, t_max):
         os._exit(3)
@@ -277,9 +273,81 @@ def test_verify_fails_when_a_child_ends_without_results(
     assert result.exit_code == 1
     assert isinstance(result.exception, RuntimeError)
     assert str(result.exception) == (
-        "verify worker for %s ended with status 3 and sent no results" % units
+        "verify worker for grid_structure_unit, elimination_exits ended with"
+        " status 3 and sent no results"
     )
     assert result.output == ""
+
+
+@pytest.mark.parametrize("jobs", ["2", "64"])
+def test_verify_child_runs_all_units_but_the_rank_unit(
+    runner, monkeypatch, tmp_path, jobs
+):
+    log = tmp_path / "pids"
+
+    def recording(unit):
+        def run(*args):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write("%s %d\n" % (unit.__name__, os.getpid()))
+            return unit(*args)
+
+        return run
+
+    serial = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", "1")
+    for name in ("grid_structure_unit", "grid_elimination_unit", "grid_hilbert_unit"):
+        monkeypatch.setattr(hfg.verify, name, recording(getattr(hfg.verify, name)))
+    result = invoke(runner, "verify", "--m", "1,2", "--n", "1,2", "--jobs", jobs)
+    assert result.exit_code == 0
+    assert result.output == serial.output
+    pids = dict(line.split() for line in log.read_text().splitlines())
+    assert len(pids) == 3
+    child = pids["grid_structure_unit"]
+    assert child != str(os.getpid())
+    assert pids["grid_elimination_unit"] == child
+    assert pids["grid_hilbert_unit"] == str(os.getpid())
+
+
+def test_verify_raises_the_structure_error_over_the_rank_error(runner, monkeypatch):
+    # at --jobs 2 or more the structure unit runs in the child and the rank
+    # unit in this process; the first unit in plan order wins at every count
+    def structure_refuses(grid):
+        raise BudgetExceededError("structure unit refused")
+
+    def rank_refuses(grid):
+        raise BudgetExceededError("rank unit refused")
+
+    monkeypatch.setattr(hfg.verify, "grid_structure_unit", structure_refuses)
+    monkeypatch.setattr(hfg.verify, "grid_hilbert_unit", rank_refuses)
+    for jobs in ("1", "2", "3", "64"):
+        result = runner.invoke(
+            cli.main, ["verify", "--m", "1,2", "--n", "1,2", "--jobs", jobs]
+        )
+        assert result.exit_code == 2
+        assert result.output == "budget exceeded: structure unit refused\n"
+
+
+def test_a_failed_fork_closes_the_pipe(monkeypatch):
+    opened = []
+    real_pipe = os.pipe
+
+    def spying_pipe():
+        fds = real_pipe()
+        opened.extend(fds)
+        return fds
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "pipe", spying_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    jobs = [(list, ()), (list, ())]
+    with pytest.raises(OSError) as caught:
+        cli._run_verify_jobs(jobs, 2)
+    assert caught.value.errno == errno.EAGAIN
+    assert len(opened) == 2
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_verify_returns_results_larger_than_a_pipe_buffer(runner, monkeypatch):
